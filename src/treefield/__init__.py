@@ -17,9 +17,7 @@ from .spectral import (AscendingChannel, Isometry3Box, SpectralData,
                        spectral_radius_check)
 from .fusion import (FusionRing, FusionTensor, build_ring, fuse,
                      fusion_coefficients, star_product)
-from .treestate import (Forest, LabelledTree, ascend_through_forest,
-                        oracle_expectation, transformed_expectation,
-                        vacuum_expectation)
+from .treestate import LabelledTree, oracle_expectation, vacuum_expectation
 from .thompson import (PiecewiseLinearMap, ThompsonElement, compose, find_good,
                        from_piecewise, generator, good_partition, parse_word,
                        reduce, schwarzian_measure, slope_right, to_piecewise,

@@ -18,7 +18,8 @@ import numpy as np
 from . import correlator as co
 from . import thompson as th
 from . import treestate
-from .dyadic import minimal_supporting_partition, partition_to_tree
+from .dyadic import (DyadicPartition, minimal_supporting_partition,
+                     partition_to_tree)
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      resolve_model, to_document)
 from .spectral import scaling_dimension
@@ -125,16 +126,28 @@ def cmd_correlator(args) -> int:
     return 0
 
 
+def _oracle_ops(P: DyadicPartition, req: co.CorrelatorRequest,
+                model: ModelSpec) -> dict:
+    """Leaf index -> lambda^{-level} mu matrix: the dense oracle's input."""
+    lam = model.eigenvalues
+    mus = model.spectral.right_ops
+    ops = {}
+    for ins in req.insertions:
+        k = P.index_of(ins.position)
+        ops[k] = co.ipow(lam[ins.label], -P[k].level) * mus[ins.label]
+    return ops
+
+
 def cmd_oracle_diff(args) -> int:
     model = _model(args)
+    V = model.require_isometry()
     req = _request(args, model)
     if req.state is not None and not req.state.is_identity():
         raise ValueError("oracle-diff covers vacuum requests only")
     value = co.n_point(req, model)
     P = minimal_supporting_partition([i.position for i in req.insertions])
-    ops = co._weighted_ops(P, req, model)
-    t = treestate.LabelledTree(partition_to_tree(P), ops)
-    oracle = treestate.oracle_expectation(t, model.require_isometry())
+    t = treestate.LabelledTree(partition_to_tree(P), _oracle_ops(P, req, model))
+    oracle = treestate.oracle_expectation(t, V)
     diff = abs(value - oracle)
     if args.json:
         print(json.dumps({"engine": [value.real, value.imag],

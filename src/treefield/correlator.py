@@ -2,6 +2,12 @@
 the tree vacuum, closed two-point forms, OPE term lists, smeared one-point
 expectations and staircase profiles.
 
+Every correlator -- vacuum or Thompson-transformed state, isometry or
+abstract model, point insertions or a smeared one-point sum -- goes through
+one label-space evaluator, `_evaluate`: it needs only the eigenvalues
+lambda_a, the fusion coefficients f^{ab}_g and the vacuum moments.  The
+matrix ascent and the dense oracle in `treestate` are its references.
+
 Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
 logarithm branch.
@@ -17,9 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import thompson as th
-from . import treestate
-from .dyadic import (CirclePoint, DyadicPartition, DyadicRational, PointLike,
-                     StdInterval, as_point, common_prefix_length,
+from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, DyadicRational,
+                     PointLike, StdInterval, as_point, common_prefix_length,
                      common_refinement, is_refinement,
                      minimal_supporting_partition, partition_to_tree,
                      regular_partition)
@@ -79,6 +84,11 @@ class CorrelatorRequest:
 
 def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
     """{'positions': ['p/q', ...], 'labels': [...], 'state': 'vacuum' | word}"""
+    if not isinstance(doc, dict):
+        raise ValueError("request document must be a JSON object")
+    for key in ("positions", "labels"):
+        if not isinstance(doc.get(key), list):
+            raise ValueError(f"request document needs a list {key!r}")
     positions = [CirclePoint.parse(str(p)) for p in doc["positions"]]
     labels = doc["labels"]
     state = None
@@ -89,30 +99,17 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 
 
 # ---------------------------------------------------------------------------
-# vacuum n-point
+# the label-space evaluator and the vacuum n-point
 
 
-def _weighted_ops(P: DyadicPartition, req: CorrelatorRequest,
-                  model: ModelSpec) -> Dict[int, np.ndarray]:
-    """leaf index -> lambda^{log2 |I|} mu at the containing interval."""
-    S = model.spectral
-    lam = model.eigenvalues
-    ops: Dict[int, np.ndarray] = {}
-    for ins in req.insertions:
-        k = P.index_of(ins.position)
-        if k in ops:
-            raise ValueError("partition does not support the insertions")
-        weight = ipow(lam[ins.label], -P[k].level)
-        ops[k] = weight * S.right_ops[ins.label]
-    return ops
-
-
-def _abstract_vectors(P: DyadicPartition, req: CorrelatorRequest,
-                      model: ModelSpec) -> Dict[int, np.ndarray]:
+def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
+                   model: ModelSpec) -> Dict[int, np.ndarray]:
+    """Slot of P -> coefficient vector lambda_a^{-level} e_a of the weighted
+    insertion mu^a at that interval."""
     lam = model.eigenvalues
     n = len(model.labels)
     vecs: Dict[int, np.ndarray] = {}
-    for ins in req.insertions:
+    for ins in insertions:
         k = P.index_of(ins.position)
         if k in vecs:
             raise ValueError("partition does not support the insertions")
@@ -122,33 +119,34 @@ def _abstract_vectors(P: DyadicPartition, req: CorrelatorRequest,
     return vecs
 
 
-def _abstract_evaluate(P: DyadicPartition, vecs: Dict[int, np.ndarray],
-                       model: ModelSpec) -> complex:
-    """Label-space propagation: leaves carry coefficient vectors, a caret
-    fuses with f^{ab}_g, a lone child ascends with f^{a0}/f^{0b}, the root
-    pairs with the vacuum moments."""
+def _evaluate(tree: BinaryTree, vecs: Dict[int, np.ndarray],
+              model: ModelSpec) -> complex:
+    """The correlator evaluator, for every model kind and state.
+
+    Leaves carry coefficient vectors over the eigenbasis mu^a; a caret fuses
+    its children with f^{ab}_g, a lone child ascends with f^{a0} (left) or
+    f^{0b} (right), and the root pairs with the vacuum moments.  For an
+    isometry model this is the matrix ascent written in the full eigenbasis,
+    where F(mu^a, mu^b) = sum_g f^{ab}_g mu^g holds exactly."""
     moments = model.vacuum_moments
     if moments is None:
         raise ValueError("vacuum moments required")
     f = model.fusion.coefficients
-    lam = model.eigenvalues
     n = len(model.labels)
-    e0 = np.zeros(n, dtype=complex)
-    e0[0] = 1.0
-    tree = partition_to_tree(P)
+    pair = f.reshape(n, n * n)
+    left_alone = f[:, 0, :]
+    right_alone = f[0]
 
     def rec(node, offset) -> Tuple[Optional[np.ndarray], int]:
         if node.is_leaf():
             return vecs.get(offset), 1
         lv, nl = rec(node.left, offset)
         rv, nr = rec(node.right, offset + nl)
-        if lv is None and rv is None:
-            return None, nl + nr
-        if lv is None:
-            lv = e0
         if rv is None:
-            rv = e0
-        return np.einsum("a,b,abg->g", lv, rv, f), nl + nr
+            return (None if lv is None else lv @ left_alone), nl + nr
+        if lv is None:
+            return rv @ right_alone, nl + nr
+        return rv @ (lv @ pair).reshape(n, n), nl + nr
 
     root, _ = rec(tree, 0)
     if root is None:
@@ -173,13 +171,8 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
         if not is_refinement(P, partition):
             raise ValueError("partition does not refine the minimal supporting partition")
         P = partition
-    if model.kind == "isometry":
-        ops = _weighted_ops(P, req, model)
-        tree = partition_to_tree(P)
-        return complex(treestate.vacuum_expectation_batch(
-            tree, model.require_isometry(),
-            {k: op[None] for k, op in ops.items()})[0])
-    return _abstract_evaluate(P, _abstract_vectors(P, req, model), model)
+    return _evaluate(partition_to_tree(P), _label_vectors(P, req.insertions, model),
+                     model)
 
 
 # ---------------------------------------------------------------------------
@@ -288,31 +281,22 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
     if left != 1:
         raise ValueError("pieces must cover [0,1)")
 
-    d = model.require_isometry().d
     lam = model.eigenvalues
-    nonzero = [a for a in range(S.n) if not model.zero_mask()[a]]
-    # f-bar coefficients per interval of P
+    live = ~model.zero_mask()
     tree = partition_to_tree(P)
     total = 0.0 + 0.0j
     for k, iv in enumerate(P):
+        # f-bar coefficients of this interval, weighted into label space
         fbar = np.zeros(S.n, dtype=complex)
         for piece_iv, M in cover:
             lo = max(iv.left, piece_iv.left)
             hi = min(iv.right, piece_iv.right)
-            if hi <= lo:
-                continue
-            overlap = hi - lo
-            tr = np.einsum("alm,lm->a", S.left_ops.conj(), np.asarray(M, dtype=complex)) / d
-            fbar += float(overlap) * tr
-        op = np.zeros((d, d), dtype=complex)
-        for a in nonzero:
-            if fbar[a] == 0:
-                continue
-            op += fbar[a] * ipow(lam[a], -iv.level) * S.right_ops[a]
-        if not np.any(op):
-            continue
-        total += complex(treestate.vacuum_expectation_batch(
-            tree, model.require_isometry(), {k: op[None]})[0])
+            if hi > lo:
+                fbar += float(hi - lo) * S.expand(M)
+        vec = np.array([fbar[a] * ipow(lam[a], -iv.level) if live[a] else 0.0
+                        for a in range(S.n)], dtype=complex)
+        if np.any(vec):
+            total += _evaluate(tree, {k: vec}, model)
     return total
 
 
@@ -362,27 +346,11 @@ def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     positions = [ins.position for ins in req.insertions]
     Pz = minimal_supporting_partition(positions)
     Q = common_refinement(e.range_partition(), Pz)
-    lam = model.eigenvalues
-    if model.kind == "isometry":
-        S = model.spectral
-        ops: Dict[int, np.ndarray] = {}
-        for ins in req.insertions:
-            k = Q.index_of(ins.position)
-            weight = ipow(lam[ins.label], -Q[k].level)
-            ops[k] = (weight * S.right_ops[ins.label])[None]
-        return complex(th.transformed_vacuum_expectation_batch(
-            e, Q, ops, model.require_isometry())[0])
-    # abstract route: propagate label vectors over the pulled-back tree
     P, sigma = th.pullback_partition(e, Q)
     slot_of = {q: i for i, q in enumerate(sigma)}
-    n = len(model.labels)
-    vecs: Dict[int, np.ndarray] = {}
-    for ins in req.insertions:
-        k = Q.index_of(ins.position)
-        v = np.zeros(n, dtype=complex)
-        v[ins.label] = ipow(lam[ins.label], -Q[k].level)
-        vecs[slot_of[k]] = v
-    return _abstract_evaluate(P, vecs, model)
+    vecs = _label_vectors(Q, req.insertions, model)
+    return _evaluate(partition_to_tree(P), {slot_of[k]: v for k, v in vecs.items()},
+                     model)
 
 
 def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,

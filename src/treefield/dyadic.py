@@ -100,7 +100,10 @@ class CirclePoint:
         if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
             num = int(s[2:], 2)
             return CirclePoint(Fraction(num, 1 << (len(s) - 2)))
-        return CirclePoint(Fraction(s))
+        try:
+            return CirclePoint(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"point {text!r} has a zero denominator") from None
 
     def digit(self, j: int) -> int:
         """j-th binary digit (j = 1 is the most significant)."""

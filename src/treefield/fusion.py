@@ -82,17 +82,16 @@ def star_product(a: np.ndarray, b: np.ndarray, f: FusionTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusionRing:
-    """0/1 tensor N^{ab}_g plus the integer matrices [N^a]_{bg} and flags."""
+    """0/1 tensor N^{ab}_g, read as the integer matrices [N^a]_{bg}, and flags."""
 
     labels: Tuple[str, ...]
     n_tensor: np.ndarray           # (n, n, n) ints in {0, 1}
-    ring_matrices: np.ndarray      # (n, n, n) ints, ring_matrices[a] = N^a
     is_associative: bool           # over the boolean semiring on N
     is_commutative: bool
     star_associative: bool         # diagnostic: complex-coefficient algebra
 
     def matrix(self, a: int) -> np.ndarray:
-        return self.ring_matrices[a]
+        return self.n_tensor[a]
 
 
 def build_ring(f: FusionTensor) -> FusionRing:
@@ -105,7 +104,7 @@ def build_ring(f: FusionTensor) -> FusionRing:
     cleft = np.einsum("abd,dge->abge", f.coefficients, f.coefficients)
     cright = np.einsum("bgd,ade->abge", f.coefficients, f.coefficients)
     star_assoc = bool(np.allclose(cleft, cright, atol=max(f.tol, 1e-9)))
-    return FusionRing(f.labels, N, N.copy(), assoc, comm, star_assoc)
+    return FusionRing(f.labels, N, assoc, comm, star_assoc)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +121,3 @@ def fusion_from_document(doc: dict) -> FusionTensor:
     return FusionTensor(tuple(doc["labels"]),
                         complex_array_from_lists(doc["coefficients"]),
                         tol=float(doc.get("tol", TOL_FUSION)))
-
-
-def ring_to_document(r: FusionRing) -> dict:
-    return {"labels": list(r.labels),
-            "n_tensor": r.n_tensor.tolist(),
-            "is_associative": r.is_associative,
-            "is_commutative": r.is_commutative,
-            "star_associative": r.star_associative}

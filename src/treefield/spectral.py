@@ -88,12 +88,6 @@ def mirror_channel(V: Isometry3Box) -> AscendingChannel:
     return AscendingChannel(d, rep, origin="isometry")
 
 
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """(A, B) = (1/d) tr(A^dag B)."""
-    d = A.shape[0]
-    return complex(np.trace(A.conj().T @ B) / d)
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues with right eigen-operators mu and biorthonormal duals nu.

@@ -311,12 +311,16 @@ def element_from_document(doc) -> ThompsonElement:
     a breakpoint/slope table {'pieces': [[x, y, c], ...]}, or {'word': ...}."""
     if isinstance(doc, str):
         return parse_word(doc)
+    if not isinstance(doc, dict):
+        raise ValueError("state document must be a word or a JSON object")
     if "word" in doc:
         return parse_word(doc["word"])
     if "pieces" in doc:
         pieces = tuple(PLPiece(Fraction(x), Fraction(y), int(c))
                        for x, y, c in doc["pieces"])
         return from_piecewise(PiecewiseLinearMap(pieces))
+    if "domain" not in doc or "range" not in doc:
+        raise ValueError("state document needs 'word', 'pieces', or 'domain' and 'range'")
     dom = BinaryTree.from_nested(_tupled(doc["domain"]))
     ran = BinaryTree.from_nested(_tupled(doc["range"]))
     return ThompsonElement(dom, ran, int(doc.get("rotation", 0)))
@@ -434,13 +438,6 @@ def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
     if pair_rooted:
         return treestate.pair_vacuum_expectation_batch(tree, V, leaf_ops)
     return treestate.vacuum_expectation_batch(tree, V, leaf_ops)
-
-
-def transformed_vacuum_expectation(f: ThompsonElement, Q: DyadicPartition,
-                                   ops_by_slot: Dict[int, np.ndarray],
-                                   V: Isometry3Box) -> complex:
-    ops = {k: np.asarray(v, dtype=complex)[None] for k, v in ops_by_slot.items()}
-    return complex(transformed_vacuum_expectation_batch(f, Q, ops, V)[0])
 
 
 def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box, level: int,

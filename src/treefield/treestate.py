@@ -1,22 +1,26 @@
-"""Vacuum functional of tree tensor-network states.
+"""Vacuum functional of tree tensor-network states: the matrix reference.
 
-The engine ascends operators caret by caret: children (A, B) fuse to
-V^dag (A (x) B) V, and the root wire closes with the normalised trace,
-omega(M) = (1/d) tr(Phi(t)^dag M Phi(t)).  Cost is polynomial in the leaf
-count; `oracle_expectation` is the only full-state path and is hard capped.
+Correlators are evaluated in label space (`correlator`); this module keeps
+the operator-level engines they are checked against.  The matrix ascent
+fuses operators caret by caret, children (A, B) to V^dag (A (x) B) V, and
+closes the root wire with the normalised trace,
+omega(M) = (1/d) tr(Phi(t)^dag M Phi(t)).  The pair-rooted variant closes
+the top caret with the maximally entangled pair instead; it carries the
+Thompson vacuum-invariance check.  `oracle_expectation` is the only
+full-state path and is hard capped.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .dyadic import BinaryTree, StdInterval, tree_to_partition
 from .fusion import fuse_batch
-from .spectral import Isometry3Box, build_channel
+from .spectral import Isometry3Box
 
 ORACLE_CAP_DEFAULT = 1 << 20
 ORACLE_CAP_ENV = "TREEFIELD_ORACLE_CAP"
@@ -188,92 +192,6 @@ def oracle_expectation(t: LabelledTree, V: Isometry3Box,
     n = t.tree.leaf_count()
     S = apply_leaf_ops(phi, n, V.d, t.leaf_ops)
     return complex(np.vdot(phi, S) / V.d)
-
-
-# ---------------------------------------------------------------------------
-# forests
-
-
-@dataclass(frozen=True)
-class Forest:
-    """Ordered trees mapping a coarse partition's leaves to a fine partition's."""
-
-    trees: Tuple[BinaryTree, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "trees", tuple(self.trees))
-        if not self.trees:
-            raise ValueError("empty forest")
-
-    def fine_leaf_count(self) -> int:
-        return sum(t.leaf_count() for t in self.trees)
-
-    def locate(self, leaf_index: int) -> Tuple[int, int]:
-        """(tree index, depth of that leaf in its tree)."""
-        off = 0
-        for ti, tr in enumerate(self.trees):
-            n = tr.leaf_count()
-            if leaf_index < off + n:
-                return ti, _leaf_depth(tr, leaf_index - off)
-            off += n
-        raise ValueError(f"leaf {leaf_index} not in forest")
-
-
-def _leaf_depth(tree: BinaryTree, leaf_index: int) -> int:
-    node = tree
-    depth = 0
-    idx = leaf_index
-    while not node.is_leaf():
-        nl = node.left.leaf_count()
-        if idx < nl:
-            node = node.left
-        else:
-            node = node.right
-            idx -= nl
-        depth += 1
-    if idx != 0:
-        raise ValueError("leaf index out of range")
-    return depth
-
-
-def ascend_through_forest(op: np.ndarray, forest: Forest, leaf_index: int,
-                          V: Isometry3Box) -> Tuple[int, np.ndarray]:
-    """Conjugation of a single-leaf operator by the forest isometry.
-
-    Eigen-operators come back unchanged with the accumulated lambda power
-    (one per caret passed); anything else gets the channel applied that many
-    times and power 0.
-    """
-    op = np.asarray(op, dtype=complex)
-    _, depth = forest.locate(leaf_index)
-    E = build_channel(V)
-    Eop = E.apply(op)
-    norm2 = np.vdot(op, op)
-    lam = complex(np.vdot(op, Eop) / norm2)
-    if np.linalg.norm(Eop - lam * op) <= 1e-10 * max(1.0, np.linalg.norm(op)):
-        return depth, op
-    out = op
-    for _ in range(depth):
-        out = E.apply(out)
-    return 0, out
-
-
-# ---------------------------------------------------------------------------
-# transformed vacuum (shape evaluated with relabeled leaves)
-
-
-def transformed_expectation(shape: BinaryTree,
-                            image_labels: Sequence[StdInterval],
-                            leaf_ops: Dict[int, np.ndarray],
-                            V: Isometry3Box) -> complex:
-    """omega over `shape` with operators attached at labelled leaves.
-
-    The labels name the image intervals each leaf represents after a
-    Thompson reparameterisation; with the natural labels this is exactly
-    vacuum_expectation.
-    """
-    t = LabelledTree(shape, dict(leaf_ops), tuple(image_labels))
-    return vacuum_expectation(t, V)
 
 
 # ---------------------------------------------------------------------------

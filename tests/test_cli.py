@@ -61,6 +61,25 @@ def test_correlator_and_oracle_diff(capsys):
     assert doc["abs_diff"] <= 1e-10
 
 
+def test_oracle_diff_needs_an_isometry(capsys, tmp_path):
+    # an abstract model with vacuum moments evaluates correlators but has no
+    # matrices for the dense oracle
+    doc = {"name": "fib-moments", "kind": "abstract", "labels": ["1", "τ"],
+           "channel": [[[1.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+           "fusion": {"labels": ["1", "τ"], "coefficients": [
+               [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
+               [[[0.0, 0.0], [0.3, 0.0]], [[0.2, 0.0], [0.5, 0.0]]]]},
+           "moments": [[1.0, 0.0], [0.1, 0.0]]}
+    path = tmp_path / "abstract.json"
+    path.write_text(json.dumps(doc))
+    args = ["--model", str(path), "--at", "0", "--at", "1/2", "--fields", "τ", "τ"]
+    code, _, _ = run(capsys, "correlator", *args)
+    assert code == 0
+    code, out, err = run(capsys, "oracle-diff", *args)
+    assert code == 1
+    assert out == "" and err == "error: no isometry in model\n"
+
+
 def test_correlator_request_file(capsys, tmp_path):
     req = {"positions": ["1/7", "2/3", "5/6"], "labels": ["β¹", "β²", "β³"]}
     p = tmp_path / "req.json"
@@ -143,11 +162,27 @@ def test_usage_errors(capsys):
     assert "unknown field label" in err
 
 
-def test_domain_error_exit_code(capsys):
-    code, _, err = run(capsys, "correlator", "--model", "qutrit",
-                       "--at", "1/4", "--at", "1/4", "--fields", "δ¹", "δ¹")
-    assert code == 1
-    assert "coincident" in err
+def test_domain_error_exit_code(capsys, tmp_path):
+    no_labels = tmp_path / "no_labels.json"
+    no_labels.write_text(json.dumps({"positions": ["1/4", "1/2"]}))
+    no_positions = tmp_path / "no_positions.json"
+    no_positions.write_text(json.dumps({"labels": ["δ¹", "δ¹"]}))
+    bad_state = tmp_path / "bad_state.json"
+    bad_state.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
+                                     "state": {"rotation": 1}}))
+    cases = [
+        (["--at", "1/4", "--at", "1/4", "--fields", "δ¹", "δ¹"], "coincident"),
+        (["--at", "1/0", "--fields", "δ¹"], "zero denominator"),
+        (["--request", str(no_labels)], "list 'labels'"),
+        (["--request", str(no_positions)], "list 'positions'"),
+        (["--request", str(bad_state)], "state document needs"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, "correlator", "--model", "qutrit", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 def test_byte_identical_reruns(capsys):

@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -14,10 +13,10 @@ from treefield.correlator import (CorrelatorRequest, FieldInsertion, ipow,
                                   transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed, two_point_terms)
-from treefield.dyadic import (CirclePoint, StdInterval,
+from treefield.dyadic import (CirclePoint, StdInterval, common_refinement,
                               minimal_supporting_partition, partition_to_tree,
                               regular_partition)
-from treefield.models import ModelSpec, load_model, preset
+from treefield.models import ModelSpec, check_swap, load_model, preset
 from treefield.spectral import Isometry3Box
 
 
@@ -40,14 +39,47 @@ def frac(s):
     return CirclePoint.parse(s)
 
 
-def oracle_value(req, model, partition=None):
-    P = partition or minimal_supporting_partition([i.position for i in req.insertions])
+def generic_model(seed, d=2):
+    """Random isometry without SWAP symmetry: f^{0b}_g is not diagonal."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+    Q, _ = np.linalg.qr(X)
+    labels = tuple(str(i) for i in range(d * d))
+    return ModelSpec(f"generic{seed}", "isometry", labels, {}, isometry=Isometry3Box(Q))
+
+
+def abstract_twin(base):
+    """The isometry model's eigenvalues, fusion coefficients and moments
+    loaded as an abstract (label-space) model."""
+    lam = base.eigenvalues
+    n = len(base.labels)
+    f = base.fusion.coefficients
+    return load_model({
+        "name": "abstract-twin", "kind": "abstract",
+        "labels": list(base.labels),
+        "channel": [[[lam[i].real, lam[i].imag] if i == j else [0.0, 0.0]
+                     for j in range(n)] for i in range(n)],
+        "fusion": {"labels": list(base.labels),
+                   "coefficients": np.stack([f.real, f.imag], axis=-1).tolist(),
+                   "tol": 1e-10},
+        "moments": np.stack([base.vacuum_moments.real,
+                             base.vacuum_moments.imag], axis=-1).tolist(),
+    })
+
+
+def weighted_ops(P, req, model):
+    """Slot of P -> lambda^{-level} mu matrix, the matrix references' input."""
     lam = model.eigenvalues
     ops = {}
     for ins in req.insertions:
         k = P.index_of(ins.position)
         ops[k] = ipow(lam[ins.label], -P[k].level) * model.spectral.right_ops[ins.label]
-    t = treestate.LabelledTree(partition_to_tree(P), ops)
+    return ops
+
+
+def oracle_value(req, model, partition=None):
+    P = partition or minimal_supporting_partition([i.position for i in req.insertions])
+    t = treestate.LabelledTree(partition_to_tree(P), weighted_ops(P, req, model))
     return treestate.oracle_expectation(t, model.require_isometry())
 
 
@@ -344,27 +376,11 @@ def test_staircase_csv_format(qutrit):
 
 
 def test_abstract_model_with_moments_matches_engine():
+    # the label-space value against the matrix ascent, for the isometry model
+    # and for its abstract twin (which has no matrices at all)
     base = swap_model(17, d=2)
-    doc = {
-        "name": "abstract-twin", "kind": "abstract",
-        "labels": list(base.labels),
-        "channel": [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)]
-                    for i in range(4)],
-        "fusion": json.loads(json.dumps(
-            {"labels": list(base.labels),
-             "coefficients": np.stack([base.fusion.coefficients.real,
-                                       base.fusion.coefficients.imag],
-                                      axis=-1).tolist(),
-             "tol": 1e-10})),
-        "moments": np.stack([base.vacuum_moments.real,
-                             base.vacuum_moments.imag], axis=-1).tolist(),
-    }
-    # give the abstract twin the true eigenvalues through the channel matrix
-    lam = base.eigenvalues
-    doc["channel"] = [[[lam[i].real, lam[i].imag] if i == j else [0.0, 0.0]
-                       for j in range(4)] for i in range(4)]
-    twin = load_model(doc)
-    assert np.allclose(twin.eigenvalues, lam, atol=1e-12)
+    twin = abstract_twin(base)
+    assert np.allclose(twin.eigenvalues, base.eigenvalues, atol=1e-12)
     rng = np.random.default_rng(5)
     for _ in range(10):
         k = int(rng.integers(1, 4))
@@ -373,34 +389,48 @@ def test_abstract_model_with_moments_matches_engine():
         labels = [int(l) for l in rng.integers(0, 4, size=k)]
         req_e = CorrelatorRequest.make(pts, labels, base)
         req_a = CorrelatorRequest.make(pts, labels, twin)
-        assert abs(n_point(req_e, base) - n_point(req_a, twin)) < 1e-10
+        P = minimal_supporting_partition(pts)
+        ops = {j: op[None] for j, op in weighted_ops(P, req_e, base).items()}
+        engine = treestate.vacuum_expectation_batch(partition_to_tree(P),
+                                                    base.isometry, ops)[0]
+        assert abs(n_point(req_e, base) - engine) < 1e-10
+        assert abs(n_point(req_a, twin) - engine) < 1e-10
 
 
 def test_abstract_transformed_state_matches_isometry_twin():
+    # the label-space transformed value against the matrix ascent over the
+    # pulled-back tree
     base = swap_model(17, d=2)
-    lam = base.eigenvalues
-    doc = {
-        "name": "abstract-twin", "kind": "abstract",
-        "labels": list(base.labels),
-        "channel": [[[lam[i].real, lam[i].imag] if i == j else [0.0, 0.0]
-                     for j in range(4)] for i in range(4)],
-        "fusion": {"labels": list(base.labels),
-                   "coefficients": np.stack([base.fusion.coefficients.real,
-                                             base.fusion.coefficients.imag],
-                                            axis=-1).tolist(),
-                   "tol": 1e-10},
-        "moments": np.stack([base.vacuum_moments.real,
-                             base.vacuum_moments.imag], axis=-1).tolist(),
-    }
-    twin = load_model(doc)
+    twin = abstract_twin(base)
     f = th.compose(th.generator("A"), th.generator("C").inverse())
     pts = [frac("1/8"), frac("9/16")]
     labs = [1, 3]
     req_e = CorrelatorRequest.make(pts, labs, base)
     req_a = CorrelatorRequest.make(pts, labs, twin)
-    got_e = transformed_state_correlator(f, req_e, base)
-    got_a = transformed_state_correlator(f, req_a, twin)
-    assert abs(got_e - got_a) < 1e-10
+    Q = common_refinement(th.reduce(f).range_partition(),
+                          minimal_supporting_partition(pts))
+    ops = {j: op[None] for j, op in weighted_ops(Q, req_e, base).items()}
+    engine = th.transformed_vacuum_expectation_batch(f, Q, ops, base.isometry)[0]
+    assert abs(transformed_state_correlator(f, req_e, base) - engine) < 1e-10
+    assert abs(transformed_state_correlator(f, req_a, twin) - engine) < 1e-10
+
+
+def test_generic_isometry_matches_oracle():
+    # without SWAP symmetry a lone right child ascends through the mirror
+    # channel, f^{0b}_g off-diagonal; non-dyadic points put insertions on
+    # right children of empty siblings
+    requests = [(["1/3"], [1]), (["1/7", "2/3"], [2, 3]),
+                (["1/3", "2/5", "5/7"], [1, 3, 2]), (["0", "1/3", "3/4"], [3, 1, 1]),
+                (["1/5", "3/5", "4/5"], [2, 2, 3])]
+    for seed in range(3):
+        model = generic_model(seed)
+        assert not check_swap(model.isometry)
+        f0 = model.fusion.coefficients[0]
+        assert np.abs(f0 - np.diag(np.diag(f0))).max() > 0.1
+        for pts, labels in requests:
+            req = CorrelatorRequest.make([frac(p) for p in pts], labels, model)
+            want = oracle_value(req, model)
+            assert abs(n_point(req, model) - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_abstract_without_moments_errors():

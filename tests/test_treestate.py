@@ -8,11 +8,10 @@ from treefield.dyadic import (LEAF, caret, partition_to_tree,
                               tree_to_partition)
 from treefield.models import preset
 from treefield.spectral import Isometry3Box, build_channel, eigendecompose
-from treefield.treestate import (Forest, LabelledTree, ascend_through_forest,
-                                 isometry_matrix, labelled_tree_from_document,
+from treefield.treestate import (LabelledTree, isometry_matrix,
+                                 labelled_tree_from_document,
                                  labelled_tree_to_document, oracle_expectation,
-                                 pair_vacuum_expectation,
-                                 transformed_expectation, vacuum_expectation)
+                                 pair_vacuum_expectation, vacuum_expectation)
 
 
 def random_isometry(d, seed):
@@ -126,30 +125,6 @@ def test_dimension_mismatch():
         vacuum_expectation(t, V)
 
 
-def test_ascend_through_forest():
-    m = preset("qutrit")
-    V = m.isometry
-    E = build_channel(V)
-    mu = m.spectral.right_ops[3]  # beta^1, lambda = 1/2
-    trivial = Forest((LEAF, LEAF, LEAF))
-    power, out = ascend_through_forest(mu, trivial, 1, V)
-    assert power == 0 and np.allclose(out, mu)
-    single = Forest((caret(LEAF, LEAF), LEAF))
-    power, out = ascend_through_forest(mu, single, 0, V)
-    assert power == 1 and np.allclose(out, mu)
-    chain = Forest((caret(caret(caret(LEAF, LEAF), LEAF), LEAF),))
-    power, out = ascend_through_forest(mu, chain, 0, V)
-    assert power == 3 and np.allclose(out, mu)
-    # non-eigen operator: the channel is applied depth times instead
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(3, 3))
-    power, out = ascend_through_forest(X, chain, 0, V)
-    want = E.apply(E.apply(E.apply(X)))
-    assert power == 0 and np.allclose(out, want, atol=1e-12)
-    with pytest.raises(ValueError, match="not in forest"):
-        ascend_through_forest(mu, trivial, 7, V)
-
-
 def test_forest_conjugation_invariance_of_weighted_insertions():
     # lambda^{log2 |I|}-weighted eigen-insertions are refinement invariant
     V = random_isometry(2, 5)
@@ -170,16 +145,6 @@ def test_forest_conjugation_invariance_of_weighted_insertions():
         op2 = lam ** (-Q[k].level) * mu
         refined = vacuum_expectation(LabelledTree(partition_to_tree(Q), {k: op2}), V)
         assert abs(base - refined) < 1e-10
-
-
-def test_transformed_expectation_identity_labels():
-    m = preset("qutrit")
-    tree = regular_tree(2)
-    P = tree_to_partition(tree)
-    ops = {1: m.spectral.right_ops[4]}
-    direct = vacuum_expectation(LabelledTree(tree, ops), m.isometry)
-    relabeled = transformed_expectation(tree, P.intervals, ops, m.isometry)
-    assert direct == relabeled
 
 
 def test_pair_vacuum_all_identity():
