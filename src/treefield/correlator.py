@@ -4,9 +4,11 @@ expectations and staircase profiles.
 
 Every correlator -- vacuum or Thompson-transformed state, isometry or
 abstract model, point insertions or a smeared one-point sum -- goes through
-one label-space evaluator, `_evaluate`: it needs only the eigenvalues
-lambda_a, the fusion coefficients f^{ab}_g and the vacuum moments.  The
-matrix ascent and the dense oracle in `treestate` are its references.
+one evaluator, `_evaluate`: it propagates coordinate vectors through a
+product tensor and closes them with the vacuum functional.  An abstract
+model supplies these in label space (f^{ab}_g and the vacuum moments), an
+isometry model in matrix units (see `ModelSpec.evaluation`).  The matrix
+ascent and the dense oracle in `treestate` are its references.
 
 Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
@@ -99,23 +101,21 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 
 
 # ---------------------------------------------------------------------------
-# the label-space evaluator and the vacuum n-point
+# the correlator evaluator and the vacuum n-point
 
 
 def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
                    model: ModelSpec) -> Dict[int, np.ndarray]:
-    """Slot of P -> coefficient vector lambda_a^{-level} e_a of the weighted
-    insertion mu^a at that interval."""
+    """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
+    mu^a at that interval."""
     lam = model.eigenvalues
-    n = len(model.labels)
+    basis = model.evaluation.basis
     vecs: Dict[int, np.ndarray] = {}
     for ins in insertions:
         k = P.index_of(ins.position)
         if k in vecs:
             raise ValueError("partition does not support the insertions")
-        v = np.zeros(n, dtype=complex)
-        v[ins.label] = ipow(lam[ins.label], -P[k].level)
-        vecs[k] = v
+        vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
     return vecs
 
 
@@ -123,19 +123,13 @@ def _evaluate(tree: BinaryTree, vecs: Dict[int, np.ndarray],
               model: ModelSpec) -> complex:
     """The correlator evaluator, for every model kind and state.
 
-    Leaves carry coefficient vectors over the eigenbasis mu^a; a caret fuses
-    its children with f^{ab}_g, a lone child ascends with f^{a0} (left) or
-    f^{0b} (right), and the root pairs with the vacuum moments.  For an
-    isometry model this is the matrix ascent written in the full eigenbasis,
-    where F(mu^a, mu^b) = sum_g f^{ab}_g mu^g holds exactly."""
-    moments = model.vacuum_moments
-    if moments is None:
-        raise ValueError("vacuum moments required")
-    f = model.fusion.coefficients
-    n = len(model.labels)
-    pair = f.reshape(n, n * n)
-    left_alone = f[:, 0, :]
-    right_alone = f[0]
+    Leaves carry coordinate vectors in the model's evaluation basis
+    (`ModelSpec.evaluation`); a caret fuses its children with the product
+    tensor, a lone child ascends with the left or right lone-child map, and
+    the root closes with the vacuum functional.  Abstract models run in label
+    space (f^{ab}_g and the moments), isometry models in matrix units."""
+    ev = model.evaluation
+    n = len(ev.closing)
 
     def rec(node, offset) -> Tuple[Optional[np.ndarray], int]:
         if node.is_leaf():
@@ -143,15 +137,15 @@ def _evaluate(tree: BinaryTree, vecs: Dict[int, np.ndarray],
         lv, nl = rec(node.left, offset)
         rv, nr = rec(node.right, offset + nl)
         if rv is None:
-            return (None if lv is None else lv @ left_alone), nl + nr
+            return (None if lv is None else lv @ ev.left), nl + nr
         if lv is None:
-            return rv @ right_alone, nl + nr
-        return rv @ (lv @ pair).reshape(n, n), nl + nr
+            return rv @ ev.right, nl + nr
+        return rv @ (lv @ ev.pair).reshape(n, n), nl + nr
 
     root, _ = rec(tree, 0)
     if root is None:
         return 1.0 + 0.0j
-    return complex(root @ moments)
+    return complex(root @ ev.closing)
 
 
 def n_point(req: CorrelatorRequest, model: ModelSpec,
@@ -283,10 +277,11 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
 
     lam = model.eigenvalues
     live = ~model.zero_mask()
+    basis = model.evaluation.basis
     tree = partition_to_tree(P)
     total = 0.0 + 0.0j
     for k, iv in enumerate(P):
-        # f-bar coefficients of this interval, weighted into label space
+        # f-bar coefficients of this interval, weighted per label
         fbar = np.zeros(S.n, dtype=complex)
         for piece_iv, M in cover:
             lo = max(iv.left, piece_iv.left)
@@ -296,7 +291,7 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
         vec = np.array([fbar[a] * ipow(lam[a], -iv.level) if live[a] else 0.0
                         for a in range(S.n)], dtype=complex)
         if np.any(vec):
-            total += _evaluate(tree, {k: vec}, model)
+            total += _evaluate(tree, {k: basis @ vec}, model)
     return total
 
 

@@ -7,7 +7,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -65,6 +65,20 @@ def _fibonacci_data() -> Tuple[np.ndarray, np.ndarray]:
     f[1, 1, 0] = SQRT5 - 2.0
     f[1, 1, 1] = 5.0 - 2.0 * SQRT5
     return channel, f
+
+
+class Evaluation(NamedTuple):
+    """The correlator evaluator's data in one coordinate basis.
+
+    basis[:, a] holds mu^a, pair[i] the products of coordinate vector i with
+    every j (shape (n, n * n)), left and right the lone-child ascents and
+    closing the root functional."""
+
+    basis: np.ndarray
+    pair: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    closing: np.ndarray
 
 
 @dataclass
@@ -155,6 +169,30 @@ class ModelSpec:
         if self.kind == "isometry":
             return self.spectral.moments()
         return self.vacuum_moments_data
+
+    @cached_property
+    def evaluation(self) -> Evaluation:
+        """Data of the correlator evaluator.  An abstract model works in its
+        label basis: products f^{ab}_g, closing the vacuum moments (required).
+        An isometry model works in matrix units: products V^dag (e_i (x) e_j) V,
+        closing (1/d) tr, which is the matrix ascent.  Its label-basis
+        coefficients f^{ab}_g are not used there: their rounding grows with the
+        condition number of the eigenbasis."""
+        if self.kind == "isometry":
+            T, d = self.isometry.tensor, self.isometry.d
+            n = d * d
+            basis = self.spectral.right_ops.reshape(n, n).T
+            product = np.einsum("acl,bem->abcelm", T.conj(), T).reshape(n, n, n)
+            closing = np.eye(d, dtype=complex).reshape(-1) / d
+        elif self.vacuum_moments_data is None:
+            raise ValueError("vacuum moments required")
+        else:
+            n = len(self.labels)
+            basis = np.eye(n, dtype=complex)
+            product, closing = self.fusion.coefficients, self.vacuum_moments_data
+        one = basis[:, 0]
+        return Evaluation(basis, product.reshape(n, n * n), one @ product,
+                          (one @ product.reshape(n, n * n)).reshape(n, n), closing)
 
     def require_isometry(self) -> Isometry3Box:
         if self.isometry is None:

@@ -1,7 +1,7 @@
 """Vacuum functional of tree tensor-network states: the matrix reference.
 
-Correlators are evaluated in label space (`correlator`); this module keeps
-the operator-level engines they are checked against.  The matrix ascent
+Correlators are evaluated by `correlator._evaluate`; this module keeps the
+operator-level engines it is checked against.  The matrix ascent
 fuses operators caret by caret, children (A, B) to V^dag (A (x) B) V, and
 closes the root wire with the normalised trace,
 omega(M) = (1/d) tr(Phi(t)^dag M Phi(t)).  The pair-rooted variant closes

@@ -1,6 +1,7 @@
 import json
 
 from treefield.cli import main
+from treefield.models import preset, to_document
 
 
 def run(capsys, *argv):
@@ -64,12 +65,8 @@ def test_correlator_and_oracle_diff(capsys):
 def test_oracle_diff_needs_an_isometry(capsys, tmp_path):
     # an abstract model with vacuum moments evaluates correlators but has no
     # matrices for the dense oracle
-    doc = {"name": "fib-moments", "kind": "abstract", "labels": ["1", "τ"],
-           "channel": [[[1.0, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
-           "fusion": {"labels": ["1", "τ"], "coefficients": [
-               [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.3, 0.0]]],
-               [[[0.0, 0.0], [0.3, 0.0]], [[0.2, 0.0], [0.5, 0.0]]]]},
-           "moments": [[1.0, 0.0], [0.1, 0.0]]}
+    doc = to_document(preset("fibonacci"))
+    doc["moments"] = [[1.0, 0.0], [0.25, 0.0]]
     path = tmp_path / "abstract.json"
     path.write_text(json.dumps(doc))
     args = ["--model", str(path), "--at", "0", "--at", "1/2", "--fields", "τ", "τ"]

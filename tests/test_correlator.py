@@ -48,6 +48,16 @@ def generic_model(seed, d=2):
     return ModelSpec(f"generic{seed}", "isometry", labels, {}, isometry=Isometry3Box(Q))
 
 
+def near_defective_model():
+    """Real isometry next to an exceptional point of its channel: two real
+    eigenvalues near -0.3388 are about to merge, cond of the eigenbasis ~6e5."""
+    rng = np.random.default_rng(0)
+    X0, X1 = rng.normal(size=(4, 2)), rng.normal(size=(4, 2))
+    Q, _ = np.linalg.qr(X0 - 1.3759614348378135 * X1)
+    return ModelSpec("near-defective", "isometry", tuple("0123"), {},
+                     isometry=Isometry3Box(Q))
+
+
 def abstract_twin(base):
     """The isometry model's eigenvalues, fusion coefficients and moments
     loaded as an abstract (label-space) model."""
@@ -376,8 +386,8 @@ def test_staircase_csv_format(qutrit):
 
 
 def test_abstract_model_with_moments_matches_engine():
-    # the label-space value against the matrix ascent, for the isometry model
-    # and for its abstract twin (which has no matrices at all)
+    # the evaluator against the matrix ascent, for the isometry model and for
+    # its abstract twin (which has no matrices at all)
     base = swap_model(17, d=2)
     twin = abstract_twin(base)
     assert np.allclose(twin.eigenvalues, base.eigenvalues, atol=1e-12)
@@ -398,8 +408,8 @@ def test_abstract_model_with_moments_matches_engine():
 
 
 def test_abstract_transformed_state_matches_isometry_twin():
-    # the label-space transformed value against the matrix ascent over the
-    # pulled-back tree
+    # the transformed value against the matrix ascent over the pulled-back
+    # tree, for the isometry model and its abstract twin
     base = swap_model(17, d=2)
     twin = abstract_twin(base)
     f = th.compose(th.generator("A"), th.generator("C").inverse())
@@ -418,12 +428,14 @@ def test_abstract_transformed_state_matches_isometry_twin():
 def test_generic_isometry_matches_oracle():
     # without SWAP symmetry a lone right child ascends through the mirror
     # channel, f^{0b}_g off-diagonal; non-dyadic points put insertions on
-    # right children of empty siblings
+    # right children of empty siblings; near a defective channel the
+    # label-space coefficients f^{ab}_g lose digits that the value must not
     requests = [(["1/3"], [1]), (["1/7", "2/3"], [2, 3]),
                 (["1/3", "2/5", "5/7"], [1, 3, 2]), (["0", "1/3", "3/4"], [3, 1, 1]),
                 (["1/5", "3/5", "4/5"], [2, 2, 3])]
-    for seed in range(3):
-        model = generic_model(seed)
+    models = [generic_model(seed) for seed in range(3)] + [near_defective_model()]
+    assert np.linalg.cond(models[-1].spectral.right_ops.reshape(4, 4)) > 1e5
+    for model in models:
         assert not check_swap(model.isometry)
         f0 = model.fusion.coefficients[0]
         assert np.abs(f0 - np.diag(np.diag(f0))).max() > 0.1
@@ -431,6 +443,36 @@ def test_generic_isometry_matches_oracle():
             req = CorrelatorRequest.make([frac(p) for p in pts], labels, model)
             want = oracle_value(req, model)
             assert abs(n_point(req, model) - want) <= 1e-10 * max(1.0, abs(want))
+
+
+def test_many_insertions_match_matrix_ascent(qutrit):
+    # partitions of more than 9 leaves, vacuum and word states: the
+    # evaluator against the separate matrix ascent, to the rounding bound
+    # k eps prod ||lambda^{-level} mu|| of the weighted insertions.  The
+    # qutrit takes alternating δ fields (most other mixes vanish by selection
+    # rules); the generic model has no SWAP symmetry, so left and right differ
+    rng = np.random.default_rng(0)
+    cases = [(qutrit, ["δ¹", "δ²"], 12, "A B C A-1"), (qutrit, ["δ¹", "δ²"], 20, "B S A"),
+             (generic_model(0), [1, 2, 3], 12, "C C A B-1 S-1 A")]
+    for model, pool, k, word in cases:
+        nums = sorted(rng.choice(96, size=k, replace=False))
+        pts = [CirclePoint(Fraction(int(n), 96)) for n in nums]
+        req = CorrelatorRequest.make(pts, [pool[i % len(pool)] for i in range(k)], model)
+        P = minimal_supporting_partition(pts)
+        e = th.reduce(th.parse_word(word))
+        Q = common_refinement(e.range_partition(), P)
+        assert len(P) > 9
+        for got, R, reference in [
+                (n_point(req, model), P, lambda ops: treestate.vacuum_expectation_batch(
+                    partition_to_tree(P), model.isometry, ops)),
+                (transformed_state_correlator(e, req, model), Q,
+                 lambda ops: th.transformed_vacuum_expectation_batch(
+                     e, Q, ops, model.isometry))]:
+            ops = weighted_ops(R, req, model)
+            scale = math.prod(np.linalg.norm(op, 2) for op in ops.values())
+            want = reference({j: op[None] for j, op in ops.items()})[0]
+            assert abs(want) > 1e-9 * scale
+            assert abs(got - want) <= 1e-14 * scale
 
 
 def test_abstract_without_moments_errors():
