@@ -26,8 +26,8 @@ import numpy as np
 
 from . import thompson as th
 from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, DyadicRational,
-                     PointLike, StdInterval, as_point, common_prefix_length,
-                     common_refinement, is_refinement,
+                     PointLike, StdInterval, as_point, check_regular_level,
+                     common_prefix_length, common_refinement, is_refinement,
                      minimal_supporting_partition, partition_to_tree,
                      regular_partition)
 from .models import ModelSpec
@@ -304,6 +304,9 @@ def staircase_samples(x_fixed: PointLike, alpha, beta, depth: int, grid: int,
     """Rows (y, Re C, Im C, |C|) over the uniform dyadic grid of 2^grid
     points, evaluated on the minimal supporting partition refined to at
     least `depth` (the value is refinement-stable)."""
+    check_regular_level(depth, "depth")
+    check_regular_level(grid, "grid")
+    fine = regular_partition(depth)
     x = as_point(x_fixed)
     a = model.label_index(alpha)
     b = model.label_index(beta)
@@ -317,7 +320,7 @@ def staircase_samples(x_fixed: PointLike, alpha, beta, depth: int, grid: int,
         else:
             req = CorrelatorRequest.make([x, y], [a, b], model)
         P = minimal_supporting_partition([i.position for i in req.insertions])
-        P = common_refinement(P, regular_partition(depth))
+        P = common_refinement(P, fine)
         val = n_point(req, model, partition=P)
         rows.append((f"{kk}/{1 << grid}", val.real, val.imag, abs(val)))
     return rows

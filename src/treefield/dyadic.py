@@ -1,8 +1,13 @@
 """Exact arithmetic on the dyadic circle [0,1): points, standard intervals,
 partitions, the partition <-> binary tree bijection and the tree metric.
 
-Everything here is integer/Fraction arithmetic; no floats enter any decision.
-Intervals are half-open [a, b) throughout, including the last one.
+A standard interval is its integer (left numerator, level) pair.  Partition
+checks, the partition <-> tree bijection and the common refinement run on
+those integers; `Fraction` remains in the point-facing operations (`index_of`,
+`is_refinement`, the supporting-partition descent) and at the API edges
+(`StdInterval.left/.right/.width`, `CirclePoint`, `DyadicRational.as_fraction`).
+No floats enter any decision.  Intervals are half-open [a, b) throughout,
+including the last one.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
 MAX_LEVEL = 64  # default depth cap; deeper requests raise instead of truncating
+MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
 
 PointLike = Union["DyadicRational", "CirclePoint", Fraction, int, str]
 
@@ -196,19 +202,19 @@ def tree_metric_formula(x: DyadicRational, y: DyadicRational, level: int) -> int
 
 
 def common_prefix_length(x: PointLike, y: PointLike) -> int:
-    px, py = as_point(x), as_point(y)
-    if px.value == py.value:
+    vx, vy = as_point(x).value, as_point(y).value
+    if vx == vy:
         raise ValueError("coincident points")
-    vx, vy = px.value, py.value
+    # remainders a/q, b/s; the next digit is 1 iff twice the remainder is >= 1
+    a, q, b, s = vx.numerator, vx.denominator, vy.numerator, vy.denominator
     l = 0
     while True:
-        vx *= 2
-        vy *= 2
-        bx, by = int(vx >= 1), int(vy >= 1)
-        if bx != by:
+        a, b = 2 * a, 2 * b
+        bit = a >= q
+        if bit != (b >= s):
             return l
-        vx -= bx
-        vy -= by
+        if bit:
+            a, b = a - q, b - s
         l += 1
 
 
@@ -264,10 +270,6 @@ class StdInterval:
 
     def log2_width(self) -> int:
         return -self.level
-
-    def contains(self, x: PointLike) -> bool:
-        v = _as_fraction(x)
-        return self.left <= v < self.right
 
     def contains_interval(self, other: "StdInterval") -> bool:
         if other.level < self.level:
@@ -357,12 +359,13 @@ class DyadicPartition:
         ivs = tuple(self.intervals)
         if not ivs:
             raise ValueError("empty partition")
-        if ivs[0].left != 0:
+        if ivs[0].left_numerator != 0:
             raise ValueError("partition must start at 0")
         for a, b in zip(ivs, ivs[1:]):
-            if a.right != b.left:
+            # a.right == b.left, both scaled by 2^(a.level + b.level)
+            if (a.left_numerator + 1) << b.level != b.left_numerator << a.level:
                 raise ValueError(f"gap or overlap between {a} and {b}")
-        if ivs[-1].right != 1:
+        if ivs[-1].left_numerator + 1 != 1 << ivs[-1].level:
             raise ValueError("partition must end at 1")
         object.__setattr__(self, "intervals", ivs)
 
@@ -407,7 +410,16 @@ class DyadicPartition:
 TRIVIAL_PARTITION = DyadicPartition((StdInterval(0, 0),))
 
 
+def check_regular_level(level: int, what: str = "level") -> None:
+    """Bound a size-like level before anything of size 2^level is built."""
+    if level < 0:
+        raise ValueError(f"{what} {level} is negative")
+    if level > MAX_REGULAR_LEVEL:
+        raise ValueError(f"{what} {level} exceeds the maximum {MAX_REGULAR_LEVEL}")
+
+
 def regular_partition(level: int) -> DyadicPartition:
+    check_regular_level(level)
     return DyadicPartition(tuple(StdInterval(a, level) for a in range(1 << level)))
 
 
@@ -432,34 +444,32 @@ def is_refinement(P: DyadicPartition, Q: DyadicPartition) -> bool:
 
 def tree_to_partition(t: BinaryTree) -> DyadicPartition:
     out = []
-
-    def rec(node: BinaryTree, a: int, l: int):
-        if node.is_leaf():
+    stack = [(t, 0, 0)]
+    while stack:
+        node, a, l = stack.pop()
+        if node.left is None:
             out.append(StdInterval(a, l))
         else:
-            rec(node.left, 2 * a, l + 1)
-            rec(node.right, 2 * a + 1, l + 1)
-
-    rec(t, 0, 0)
+            stack.append((node.right, 2 * a + 1, l + 1))
+            stack.append((node.left, 2 * a, l + 1))
     return DyadicPartition(tuple(out))
 
 
 def partition_to_tree(P: DyadicPartition) -> BinaryTree:
-    ivs = P.intervals
-
-    def rec(start: int, stop: int, a: int, l: int) -> BinaryTree:
-        if stop - start == 1 and ivs[start] == StdInterval(a, l):
-            return LEAF
-        mid_left = Fraction(2 * a + 1, 1 << (l + 1))
-        split = start
-        while split < stop and ivs[split].left < mid_left:
-            split += 1
-        if split == start or split == stop or ivs[split].left != mid_left:
-            raise ValueError("interval sequence is not a dyadic tree cover")
-        return BinaryTree(rec(start, split, 2 * a, l + 1),
-                          rec(split, stop, 2 * a + 1, l + 1))
-
-    return rec(0, len(ivs), 0, 0)
+    """One pass left to right: the stack holds (numerator, level, subtree) of
+    the maximal standard intervals covered so far; an interval that is a
+    right half merges with its left sibling on top of the stack, repeatedly."""
+    stack = []
+    for iv in P.intervals:
+        a, l, node = iv.left_numerator, iv.level, LEAF
+        while a & 1 and stack and stack[-1][0] == a - 1 and stack[-1][1] == l:
+            node = BinaryTree(stack.pop()[2], node)
+            a >>= 1
+            l -= 1
+        stack.append((a, l, node))
+    if len(stack) != 1 or stack[0][1] != 0:
+        raise ValueError("interval sequence is not a dyadic tree cover")
+    return stack[0][2]
 
 
 def common_refinement(P: DyadicPartition, Q: DyadicPartition) -> DyadicPartition:

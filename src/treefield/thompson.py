@@ -90,7 +90,8 @@ class PiecewiseLinearMap:
     def fixes_zero(self) -> bool:
         return self.pieces[0].y == 0
 
-    def piece_at(self, x: Fraction) -> PLPiece:
+    def piece_index(self, x: Fraction) -> int:
+        """Index of the last piece starting at or before x (bisection)."""
         ps = self.pieces
         lo, hi = 0, len(ps) - 1
         while lo < hi:
@@ -99,7 +100,10 @@ class PiecewiseLinearMap:
                 lo = mid
             else:
                 hi = mid - 1
-        return ps[lo]
+        return lo
+
+    def piece_at(self, x: Fraction) -> PLPiece:
+        return self.pieces[self.piece_index(x)]
 
     def __call__(self, x: PointLike) -> Fraction:
         v = _as_fraction(x)
@@ -215,9 +219,9 @@ def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> Thompso
     def admissible(a: int, l: int) -> bool:
         left = Fraction(a, 1 << l)
         right = Fraction(a + 1, 1 << l)
-        p = m.piece_at(left)
-        nxt_idx = m.pieces.index(p) + 1
-        nxt = m.pieces[nxt_idx].x if nxt_idx < len(m.pieces) else Fraction(1)
+        i = m.piece_index(left)
+        p = m.pieces[i]
+        nxt = m.pieces[i + 1].x if i + 1 < len(m.pieces) else Fraction(1)
         if right > nxt:
             return False  # straddles a breakpoint
         y = m(left)

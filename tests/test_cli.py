@@ -182,6 +182,38 @@ def test_domain_error_exit_code(capsys, tmp_path):
         assert message in err
 
 
+def test_unreadable_files(capsys, tmp_path):
+    cases = [
+        (["correlator", "--model", "qutrit", "--request", str(tmp_path / "nope.json")],
+         "No such file"),
+        (["correlator", "--model", str(tmp_path), "--at", "1/4", "--fields", "δ¹"],
+         "Is a directory"),
+        (["staircase", "--model", "qutrit", "--x", "0", "--alpha", "0", "--beta", "0",
+          "--grid", "1", "-o", str(tmp_path / "missing" / "out.csv")], "No such file"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+def test_staircase_size_bounds(capsys):
+    # rejected before any 2^depth or 2^grid sized object is built
+    cases = [(["--depth", "70"], "depth 70 exceeds"),
+             (["--grid", "70"], "grid 70 exceeds"),
+             (["--depth", "-1"], "depth -1 is negative"),
+             (["--grid", "-1"], "grid -1 is negative")]
+    for argv, message in cases:
+        code, out, err = run(capsys, "staircase", "--model", "qutrit", "--x", "0",
+                             "--alpha", "0", "--beta", "0", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_byte_identical_reruns(capsys):
     args = ["correlator", "--model", "qutrit", "--at", "1/7", "--at", "2/3",
             "--fields", "β¹", "β²", "--json"]

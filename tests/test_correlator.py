@@ -377,6 +377,22 @@ def test_staircase_asymmetry(qutrit):
     assert abs(left - right) > 1e-6
 
 
+def test_staircase_rows_match_closed_form(qutrit):
+    # every row against the closed two-point form, x at levels 0, 3 and 7
+    for x in ("0", "3/8", "77/128"):
+        xv = Fraction(x)
+        for a, b in [("δ¹", "δ¹"), ("β²", "β²"), ("δ¹", "δ²")]:
+            rows = staircase_samples(frac(x), a, b, depth=6, grid=3, model=qutrit)
+            assert len(rows) == (7 if xv.denominator <= 8 else 8)
+            for y, re, im, ab in rows:
+                yv = Fraction(y)
+                ref = (two_point_closed(yv, xv, b, a, qutrit) if yv < xv
+                       else two_point_closed(xv, yv, a, b, qutrit))
+                assert ref != 0
+                assert abs(complex(re, im) - ref) <= 1e-10 * abs(ref)
+                assert ab == abs(complex(re, im))
+
+
 def test_staircase_csv_format(qutrit):
     rows = staircase_samples(frac("0"), 0, 0, depth=2, grid=2, model=qutrit)
     text = staircase_csv(rows)

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
                               DyadicRational, StdInterval, TRIVIAL_PARTITION,
@@ -295,3 +297,99 @@ def test_circle_point_digits():
     p = CirclePoint(Fraction(1, 7))
     assert p.digits(6) == (0, 0, 1, 0, 0, 1)  # 1/7 = 0.001001...
     assert p.digit(3) == 1
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer geometry against Fraction references; sizes stay
+# small (<= 64 intervals, level <= 12, <= 16 points)
+
+PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def partitions(draw):
+    """A random partition: up to 63 refinements of [0,1), level <= 12."""
+    P = TRIVIAL_PARTITION
+    for k in draw(st.lists(st.integers(min_value=0), max_size=63)):
+        i = k % len(P)
+        if P[i].level < 12:
+            P = P.refine_at(i)
+    return P
+
+
+@st.composite
+def rationals(draw):
+    q = draw(st.one_of(st.integers(1, 5000), st.sampled_from([1 << k for k in range(13)])))
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+def ref_index_of(P, x):
+    (i,) = [i for i, iv in enumerate(P) if iv.left <= x < iv.right]
+    return i
+
+
+def ref_is_refinement(P, Q):
+    return all(any(p.left <= q.left and q.right <= p.right for p in P) for q in Q)
+
+
+@PROPS
+@given(partitions())
+def test_property_tree_partition_round_trip(P):
+    t = partition_to_tree(P)
+    assert t.leaf_count() == len(P)
+    assert tree_to_partition(t) == P
+    assert partition_to_tree(tree_to_partition(t)) == t
+
+
+@PROPS
+@given(partitions(), partitions())
+def test_property_common_refinement_is_the_endpoint_union(P, Q):
+    R = common_refinement(P, Q)
+    ends = sorted({iv.left for iv in P} | {iv.left for iv in Q} | {Fraction(1)})
+    widths = [b - a for a, b in zip(ends, ends[1:])]
+    assert all(w.numerator == 1 for w in widths)
+    want = [StdInterval(int(a / w), w.denominator.bit_length() - 1)
+            for a, w in zip(ends, widths)]
+    assert list(R) == want
+    assert is_refinement(P, R) and is_refinement(Q, R)
+
+
+@PROPS
+@given(partitions(), partitions(), st.lists(rationals(), max_size=16))
+def test_property_is_refinement_and_index_of(P, Q, xs):
+    assert is_refinement(P, Q) == ref_is_refinement(P, Q)
+    assert is_refinement(Q, P) == ref_is_refinement(Q, P)
+    for x in xs:
+        assert P.index_of(x) == ref_index_of(P, x)
+
+
+@PROPS
+@given(st.sets(rationals(), min_size=1, max_size=16))
+def test_property_minimal_supporting_partition(points):
+    pts = sorted(points)
+    P = minimal_supporting_partition(pts)
+    slots = [ref_index_of(P, x) for x in pts]
+    assert len(set(slots)) == len(slots)  # supports the points
+    # coarsest: every caret whose children are both leaves holds two points
+    for a, b in zip(P, P.intervals[1:]):
+        if a.level == b.level and a.left_numerator % 2 == 0 \
+                and b.left_numerator == a.left_numerator + 1:
+            assert sum(a.left <= x < b.right for x in pts) >= 2
+
+
+@PROPS
+@given(partitions().filter(lambda P: len(P) >= 2), st.integers(min_value=0))
+def test_property_partition_rejects_gap_overlap_and_short_cover(P, k):
+    ivs = P.intervals
+    i = k % (len(ivs) - 1)  # an interval with a right neighbour
+    gap = ivs[:i] + (ivs[i].halves()[0],) + ivs[i + 1:]
+    with pytest.raises(ValueError, match="gap or overlap"):
+        DyadicPartition(gap)
+    iv = ivs[i]
+    parent = StdInterval(iv.left_numerator // 2, iv.level - 1)
+    with pytest.raises(ValueError, match="gap or overlap"):
+        DyadicPartition(ivs[:i] + (parent,) + ivs[i + 1:])
+    with pytest.raises(ValueError, match="must start at 0"):
+        DyadicPartition(ivs[1:])
+    with pytest.raises(ValueError, match="must end at 1"):
+        DyadicPartition(ivs[:-1])
