@@ -2,9 +2,14 @@
 piecewise-linear map view.
 
 An element maps its domain partition onto its range partition, leaf i to
-leaf (i + rotation) mod n; rotation 0 gives F.  Composition, inversion and
-reduction all route through the exact piecewise form, so reduced pairs are
-canonical: equal group elements have identical reduced fractions.
+leaf (i + rotation) mod n; rotation 0 gives F.  Composition, reduction and
+word parsing run on integer leaf pairs (a, l, b, m): the domain leaf
+[a/2^l, (a+1)/2^l) maps affinely onto the image leaf [b/2^m, (b+1)/2^m).  A
+product is one merge walk over the two pair lists, a reduction one stack pass
+cancelling sibling pairs, so reduced pairs are canonical: equal group
+elements have identical reduced fractions.  The exact `Fraction` piecewise
+form serves point evaluation, slopes, breakpoint tables and the check of the
+integer algebra.
 """
 
 from __future__ import annotations
@@ -134,23 +139,6 @@ class PiecewiseLinearMap:
             merged.append(q)
         return PiecewiseLinearMap(tuple(merged))
 
-    def compose(self, other: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
-        """self after other: x -> self(other(x))."""
-        cuts = {Fraction(0)}
-        cuts.update(p.x for p in other.pieces)
-        inv_other = other.inverse()
-        for p in self.pieces:
-            cuts.add(inv_other(p.x))
-        xs = sorted(cuts)
-        pieces = []
-        for x in xs:
-            y_mid = other(x)
-            p1 = other.piece_at(x)
-            p2 = self.piece_at(y_mid)
-            value = (p2.y + (y_mid - p2.x) * Fraction(2) ** p2.c) % 1
-            pieces.append(PLPiece(x, value, p1.c + p2.c))
-        return PiecewiseLinearMap(tuple(pieces))
-
 
 # ---------------------------------------------------------------------------
 # tree-pair fractions
@@ -256,9 +244,88 @@ def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> Thompso
     return ThompsonElement(dom_tree, partition_to_tree(ran), rot)
 
 
+# ---------------------------------------------------------------------------
+# integer leaf pairs: composition and reduction
+
+
+# (a, l, b, m): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the
+# image leaf [b/2^m, (b+1)/2^m).  An element's pairs are listed in domain
+# order; their images run through the range partition cyclically.
+LeafPair = Tuple[int, int, int, int]
+
+
+def _pairs(e: ThompsonElement) -> List[LeafPair]:
+    ran = e.range_partition().intervals
+    ran = ran[e.rotation:] + ran[:e.rotation]
+    return [(d.left_numerator, d.level, r.left_numerator, r.level)
+            for d, r in zip(e.domain_partition().intervals, ran)]
+
+
+def _element(pairs: List[LeafPair]) -> ThompsonElement:
+    first = next(i for i, p in enumerate(pairs) if p[2] == 0)  # image at 0
+    dom = DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in pairs]))
+    ran = DyadicPartition(tuple([StdInterval(b, m) for _, _, b, m in
+                                 pairs[first:] + pairs[:first]]))
+    return ThompsonElement(partition_to_tree(dom), partition_to_tree(ran), -first)
+
+
+def _cancel(pairs: List[LeafPair]) -> List[LeafPair]:
+    """Reduced pairs in one stack pass: a pair whose domain and image are
+    both right halves merges with the top of the stack when that holds the
+    matching left halves, repeatedly (the shape of `partition_to_tree`).
+    Returns `pairs` itself when nothing cancels; raises when a reduced
+    domain leaf is deeper than MAX_LEVEL."""
+    stack: List[LeafPair] = []
+    merged = False
+    for a, l, b, m in pairs:
+        while a & 1 and b & 1 and stack and stack[-1] == (a - 1, l, b - 1, m):
+            stack.pop()
+            a, l, b, m = a >> 1, l - 1, b >> 1, m - 1
+            merged = True
+        stack.append((a, l, b, m))
+    if max(p[1] for p in stack) > MAX_LEVEL:
+        raise ValueError("not a Thompson map: no dyadic domain tree found")
+    return stack if merged else pairs
+
+
+def _compose_pairs(g: List[LeafPair], h: List[LeafPair]) -> List[LeafPair]:
+    """Unreduced pairs of g o h in h's domain order, by one walk: h's images
+    run through g's domain cyclically from the piece found by bisection, and
+    each either lies inside one g piece or is split over several."""
+    b0, m0 = h[0][2], h[0][3]
+    j, hi = 0, len(g) - 1
+    while j < hi:  # last g piece starting at or before h's first image
+        mid = (j + hi + 1) // 2
+        if g[mid][0] << m0 <= b0 << g[mid][1]:
+            j = mid
+        else:
+            hi = mid - 1
+    n = len(g)
+    out: List[LeafPair] = []
+    for a, l, b, m in h:
+        ga, gl, gb, gm = g[j]
+        if gl <= m:  # h's image sits at offset b - (ga << d) inside g's piece
+            d = m - gl
+            out.append((a, l, (gb << d) + b - (ga << d), gm + d))
+            if b + 1 == (ga + 1) << d:
+                j = (j + 1) % n
+            continue
+        while True:  # g's pieces cover h's image; pull each back into h's domain
+            ga, gl, gb, gm = g[j]
+            d = gl - m
+            out.append(((a << d) + ga - (b << d), l + d, gb, gm))
+            j = (j + 1) % n
+            if ga + 1 == (b + 1) << d:
+                break
+    return out
+
+
 def reduce(e: ThompsonElement) -> ThompsonElement:
-    """Canonical fully-cancelled fraction (idempotent)."""
-    return from_piecewise(to_piecewise(e))
+    """Canonical fully-cancelled fraction (idempotent); `e` itself when
+    nothing cancels."""
+    pairs = _pairs(e)
+    reduced = _cancel(pairs)
+    return e if reduced is pairs else _element(reduced)
 
 
 def equal(g: ThompsonElement, h: ThompsonElement) -> bool:
@@ -267,11 +334,11 @@ def equal(g: ThompsonElement, h: ThompsonElement) -> bool:
 
 def compose(g: ThompsonElement, h: ThompsonElement) -> ThompsonElement:
     """Group product g.h = g o h (h acts first), returned reduced."""
-    return from_piecewise(to_piecewise(g).compose(to_piecewise(h)))
+    return _element(_cancel(_compose_pairs(_pairs(g), _pairs(h))))
 
 
 # ---------------------------------------------------------------------------
-# generators
+# generators and words
 
 
 def generator(name: str) -> ThompsonElement:
@@ -291,13 +358,25 @@ def generator(name: str) -> ThompsonElement:
     raise ValueError(f"unknown generator {name!r}")
 
 
+MAX_WORD_LENGTH = 1024  # generators in one word; longer words are refused
+# name -> (pairs of the generator, pairs of its inverse)
+_GENERATOR_PAIRS = {name: (_pairs(generator(name)), _pairs(generator(name).inverse()))
+                    for name in "ABCS"}
+
+
 def parse_word(word: str) -> ThompsonElement:
     """Generator word, leftmost acting last: 'A C' is A o C.
 
-    Inverses: 'A⁻¹', 'A^-1' or 'A-1'.
+    Inverses: 'A⁻¹', 'A^-1' or 'A-1'.  At most MAX_WORD_LENGTH generators;
+    the product is reduced after each one, and every reduced prefix product
+    must keep its domain leaves within MAX_LEVEL.
     """
-    out = IDENTITY
-    for tok in word.split():
+    tokens = word.split()
+    if len(tokens) > MAX_WORD_LENGTH:
+        raise ValueError(f"word has {len(tokens)} generators; "
+                         f"at most {MAX_WORD_LENGTH} are allowed")
+    pairs: List[LeafPair] = [(0, 0, 0, 0)]
+    for tok in tokens:
         inv = False
         base = tok
         for suffix in ("⁻¹", "^-1", "-1"):
@@ -305,9 +384,10 @@ def parse_word(word: str) -> ThompsonElement:
                 inv = True
                 base = tok[: -len(suffix)]
                 break
-        g = generator(base)
-        out = compose(out, g.inverse() if inv else g)
-    return out
+        if base not in _GENERATOR_PAIRS:
+            generator(base)  # raises: unknown generator
+        pairs = _cancel(_compose_pairs(pairs, _GENERATOR_PAIRS[base][inv]))
+    return _element(pairs)
 
 
 def element_from_document(doc) -> ThompsonElement:

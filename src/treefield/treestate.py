@@ -142,12 +142,6 @@ def pair_vacuum_expectation_batch(tree: BinaryTree, V: Isometry3Box,
     return np.einsum("bjk,bjk->b", A, Bv) / d
 
 
-def pair_vacuum_expectation(t: LabelledTree, V: Isometry3Box) -> complex:
-    _check_dims(t.leaf_ops, V.d)
-    ops = {i: np.asarray(op, dtype=complex)[None, :, :] for i, op in t.leaf_ops.items()}
-    return complex(pair_vacuum_expectation_batch(t.tree, V, ops)[0])
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 

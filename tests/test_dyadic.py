@@ -303,7 +303,7 @@ def test_circle_point_digits():
 # properties of the integer geometry against Fraction references; sizes stay
 # small (<= 64 intervals, level <= 12, <= 16 points)
 
-PROPS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPS = settings(max_examples=60)  # the rest comes from conftest's profile
 
 
 @st.composite

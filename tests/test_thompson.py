@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treefield.dyadic import (LEAF, TRIVIAL_PARTITION, DyadicPartition,
-                              StdInterval, caret, regular_partition)
+                              StdInterval, caret, partition_to_tree,
+                              regular_partition)
 from treefield.models import degenerate_isometry, preset
 from treefield.thompson import (IDENTITY, PiecewiseLinearMap, PLPiece,
                                 ThompsonElement, compose, element_from_document,
@@ -233,3 +236,68 @@ def test_vacuum_invariance_qutrit_and_fixture():
     # the half rotation fixes the pair vacuum for every isometry
     ok, _ = vacuum_invariance_check(S, fix, 3)
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# properties of the integer tree-pair algebra against the Fraction piecewise
+# form; words of at most 40 generators, elements of at most 64 leaves
+
+PROPS = settings(max_examples=60)
+
+
+@st.composite
+def elements(draw):
+    tokens = draw(st.lists(st.tuples(st.sampled_from("ABCS"), st.booleans()),
+                           max_size=40))
+    e = parse_word(" ".join(g + ("^-1" if inv else "") for g, inv in tokens))
+    assume(e.n_leaves <= 64)
+    return e
+
+
+@st.composite
+def points(draw):
+    q = draw(st.one_of(st.integers(1, 5000), st.sampled_from([1 << k for k in range(13)])))
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+def split(e, i):
+    """The same element with domain leaf i and its image leaf split into
+    halves (an unreduced pair)."""
+    n = e.n_leaves
+    j = (i + e.rotation) % n
+    dom = e.domain_partition().refine_at(i)
+    ran = e.range_partition().refine_at(j)
+    return ThompsonElement(partition_to_tree(dom), partition_to_tree(ran), j - i)
+
+
+@PROPS
+@given(elements(), elements(), st.lists(points(), min_size=1, max_size=8))
+def test_property_compose_acts_as_g_after_h(g, h, xs):
+    gh, mg, mh = to_piecewise(compose(g, h)), to_piecewise(g), to_piecewise(h)
+    for x in xs:
+        assert gh(x) == mg(mh(x))
+
+
+@PROPS
+@given(elements(), elements(), elements())
+def test_property_compose_is_associative(f, g, h):
+    assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+
+@PROPS
+@given(elements())
+def test_property_inverse_cancels(g):
+    assert compose(g, g.inverse()).is_identity()
+    assert compose(g.inverse(), g).is_identity()
+    assert reduce(g) is g  # a reduced element comes back as itself
+
+
+@PROPS
+@given(elements(), st.lists(st.integers(min_value=0), min_size=1, max_size=8))
+def test_property_reduce_matches_the_piecewise_reference(e, cuts):
+    u = e
+    for k in cuts:
+        if u.n_leaves < 64:
+            u = split(u, k % u.n_leaves)
+    assert u.n_leaves > e.n_leaves
+    assert reduce(u) == from_piecewise(to_piecewise(u)) == e

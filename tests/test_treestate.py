@@ -11,7 +11,8 @@ from treefield.spectral import Isometry3Box, build_channel, eigendecompose
 from treefield.treestate import (LabelledTree, isometry_matrix,
                                  labelled_tree_from_document,
                                  labelled_tree_to_document, oracle_expectation,
-                                 pair_vacuum_expectation, vacuum_expectation)
+                                 pair_vacuum_expectation_batch,
+                                 vacuum_expectation)
 
 
 def random_isometry(d, seed):
@@ -149,8 +150,8 @@ def test_forest_conjugation_invariance_of_weighted_insertions():
 
 def test_pair_vacuum_all_identity():
     V = preset("qutrit").isometry
-    t = LabelledTree(regular_tree(2))
-    assert abs(pair_vacuum_expectation(t, V) - 1.0) < 1e-14
+    got = pair_vacuum_expectation_batch(regular_tree(2), V, {})
+    assert got.shape == (1,) and abs(got[0] - 1.0) < 1e-14
 
 
 def test_pair_vacuum_matches_state_vector():
@@ -167,8 +168,9 @@ def test_pair_vacuum_matches_state_vector():
     for idx, op in ops.items():
         S = np.moveaxis(np.tensordot(op, S, axes=(1, idx)), 0, idx)
     want = np.vdot(vec.reshape((2,) * n), S)
-    got = pair_vacuum_expectation(LabelledTree(tree, ops), V)
-    assert abs(got - want) < 1e-12
+    batched = {i: np.asarray(op, dtype=complex)[None] for i, op in ops.items()}
+    got = pair_vacuum_expectation_batch(tree, V, batched)
+    assert got.shape == (1,) and abs(got[0] - want) < 1e-12
 
 
 def test_labelled_tree_serialization():
