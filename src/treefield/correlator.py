@@ -155,10 +155,11 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
     vacuum tree.  Refinement-stable by construction."""
     if not req.insertions:
         return 1.0 + 0.0j
-    if req.state is not None and not req.state.is_identity():
+    state = None if req.state is None else th.reduce(req.state)
+    if state is not None and state.n_leaves > 1:
         if partition is not None:
             raise ValueError("explicit partitions apply to the vacuum case only")
-        return transformed_state_correlator(req.state, req, model)
+        return transformed_state_correlator(state, req, model)
     positions = [ins.position for ins in req.insertions]
     P = minimal_supporting_partition(positions)
     if partition is not None:
@@ -339,16 +340,14 @@ def staircase_csv(rows: Sequence[Tuple[str, float, float, float]]) -> str:
 
 def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
                                  model: ModelSpec) -> complex:
-    """Direct evaluation of <U(f) Omega| prod phi(z_j) |U(f) Omega>."""
-    e = th.reduce(f)
+    """Direct evaluation of <U(f) Omega| prod phi(z_j) |U(f) Omega>: the
+    insertions sit on Q, the common refinement of f's range partition and
+    their minimal supporting partition (the coarsest such Q when f is
+    reduced), on the vacuum tree of f^{-1}(Q)."""
     positions = [ins.position for ins in req.insertions]
-    Pz = minimal_supporting_partition(positions)
-    Q = common_refinement(e.range_partition(), Pz)
-    P, sigma = th.pullback_partition(e, Q)
-    slot_of = {q: i for i, q in enumerate(sigma)}
-    vecs = _label_vectors(Q, req.insertions, model)
-    return _evaluate(partition_to_tree(P), {slot_of[k]: v for k, v in vecs.items()},
-                     model)
+    Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
+    tree, vecs = th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model))
+    return _evaluate(tree, vecs, model)
 
 
 def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,

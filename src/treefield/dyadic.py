@@ -268,9 +268,6 @@ class StdInterval:
     def width(self) -> Fraction:
         return Fraction(1, 1 << self.level)
 
-    def log2_width(self) -> int:
-        return -self.level
-
     def contains_interval(self, other: "StdInterval") -> bool:
         if other.level < self.level:
             return False
@@ -303,11 +300,6 @@ class BinaryTree:
     def leaf_count(self) -> int:
         return self._leaves
 
-    def depth(self) -> int:
-        if self.is_leaf():
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BinaryTree):
             return NotImplemented
@@ -326,10 +318,12 @@ class BinaryTree:
 
     @staticmethod
     def from_nested(obj) -> "BinaryTree":
-        if obj == 0:
+        """Inverse of `to_nested`; a caret may also be a (JSON) list."""
+        if isinstance(obj, int) and obj == 0:
             return LEAF
-        l, r = obj
-        return BinaryTree(BinaryTree.from_nested(l), BinaryTree.from_nested(r))
+        if not (isinstance(obj, (tuple, list)) and len(obj) == 2):
+            raise ValueError("tree documents nest 0 (a leaf) and [left, right] (a caret)")
+        return BinaryTree(BinaryTree.from_nested(obj[0]), BinaryTree.from_nested(obj[1]))
 
     def __repr__(self):
         return f"BinaryTree{self.to_nested()!r}"

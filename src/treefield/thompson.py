@@ -1,30 +1,33 @@
 """Thompson's groups F and T as reduced tree-pair fractions with an exact
 piecewise-linear map view.
 
-An element maps its domain partition onto its range partition, leaf i to
-leaf (i + rotation) mod n; rotation 0 gives F.  Composition, reduction and
-word parsing run on integer leaf pairs (a, l, b, m): the domain leaf
-[a/2^l, (a+1)/2^l) maps affinely onto the image leaf [b/2^m, (b+1)/2^m).  A
-product is one merge walk over the two pair lists, a reduction one stack pass
-cancelling sibling pairs, so reduced pairs are canonical: equal group
-elements have identical reduced fractions.  The exact `Fraction` piecewise
-form serves point evaluation, slopes, breakpoint tables and the check of the
-integer algebra.
+An element is stored as its integer leaf pairs (a, l, b, m) in domain order:
+the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the image leaf
+[b/2^m, (b+1)/2^m).  As a tree pair it maps domain leaf i onto range leaf
+(i + rotation) mod n; rotation 0 gives F.  A product is one merge walk over
+two pair lists, and the same walk pulls a partition of the range back into
+the domain; a reduction is one stack pass cancelling sibling pairs, so
+reduced pairs are canonical: equal group elements have identical reduced
+pairs.  Trees are built only at the edges, by `ThompsonElement.from_trees`
+and by `domain_tree`/`range_tree` for documents.  The exact `Fraction`
+piecewise form serves point evaluation, slopes, breakpoint tables and the
+check of the integer algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import treestate
 from .dyadic import (LEAF, MAX_LEVEL, BinaryTree, DyadicPartition,
                      DyadicRational, PointLike, StdInterval, caret,
-                     common_refinement, is_refinement, partition_to_tree,
-                     regular_partition, tree_to_partition, _as_fraction)
+                     check_regular_level, common_refinement, is_refinement,
+                     partition_to_tree, regular_partition, tree_to_partition,
+                     _as_fraction)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -84,17 +87,6 @@ class PiecewiseLinearMap:
             merged.append(p)
         object.__setattr__(self, "pieces", tuple(merged))
 
-    @property
-    def breakpoints(self) -> Tuple[Fraction, ...]:
-        return tuple(p.x for p in self.pieces)
-
-    @property
-    def slopes(self) -> Tuple[int, ...]:
-        return tuple(p.c for p in self.pieces)
-
-    def fixes_zero(self) -> bool:
-        return self.pieces[0].y == 0
-
     def piece_index(self, x: Fraction) -> int:
         """Index of the last piece starting at or before x (bisection)."""
         ps = self.pieces
@@ -141,67 +133,98 @@ class PiecewiseLinearMap:
 
 
 # ---------------------------------------------------------------------------
-# tree-pair fractions
+# tree-pair fractions as integer leaf pairs
+
+
+# (a, l, b, m): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the
+# image leaf [b/2^m, (b+1)/2^m).
+LeafPair = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class ThompsonElement:
-    """Tree pair (domain, range) with a leaf rotation; maps domain leaf i
-    onto range leaf (i + rotation) mod n."""
+    """Leaf pairs (a, l, b, m) in domain order: domain leaf [a/2^l, (a+1)/2^l)
+    maps affinely onto image leaf [b/2^m, (b+1)/2^m).
 
-    domain_tree: BinaryTree
-    range_tree: BinaryTree
-    rotation: int = 0
+    The domain leaves must form a dyadic partition, and so must the images
+    read cyclically from the one that starts at 0; the constructor checks
+    both.  As a tree pair, domain leaf i maps onto range leaf
+    (i + rotation) mod n."""
+
+    pairs: Tuple[LeafPair, ...]
 
     def __post_init__(self):
-        n = self.domain_tree.leaf_count()
-        if self.range_tree.leaf_count() != n:
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        self.domain_partition()
+        self.range_partition()
+
+    @staticmethod
+    def from_trees(domain: BinaryTree, range_: BinaryTree,
+                   rotation: int = 0) -> "ThompsonElement":
+        """The tree pair mapping domain leaf i onto range leaf
+        (i + rotation) mod n."""
+        n = domain.leaf_count()
+        if range_.leaf_count() != n:
             raise ValueError("leaf counts differ between domain and range trees")
-        object.__setattr__(self, "rotation", self.rotation % n)
+        ran = tree_to_partition(range_).intervals
+        k = rotation % n
+        return ThompsonElement([(d.left_numerator, d.level, r.left_numerator, r.level)
+                                for d, r in zip(tree_to_partition(domain),
+                                                ran[k:] + ran[:k])])
+
+    def _first_image(self) -> int:
+        """Index of the pair whose image starts at 0."""
+        for i, p in enumerate(self.pairs):
+            if p[2] == 0:
+                return i
+        raise ValueError("not a Thompson map: no image leaf starts at 0")
 
     @property
     def n_leaves(self) -> int:
-        return self.domain_tree.leaf_count()
+        return len(self.pairs)
+
+    @property
+    def rotation(self) -> int:
+        return -self._first_image() % self.n_leaves
 
     def domain_partition(self) -> DyadicPartition:
-        return tree_to_partition(self.domain_tree)
+        return DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in self.pairs]))
 
     def range_partition(self) -> DyadicPartition:
-        return tree_to_partition(self.range_tree)
+        images = [StdInterval(b, m) for _, _, b, m in self.pairs]
+        k = self._first_image()
+        return DyadicPartition(tuple(images[k:] + images[:k]))
 
-    def image_interval(self, i: int) -> StdInterval:
-        return self.range_partition()[(i + self.rotation) % self.n_leaves]
+    @property
+    def domain_tree(self) -> BinaryTree:
+        return partition_to_tree(self.domain_partition())
 
-    def in_f(self) -> bool:
-        return self.rotation == 0
+    @property
+    def range_tree(self) -> BinaryTree:
+        return partition_to_tree(self.range_partition())
 
     def is_identity(self) -> bool:
-        e = reduce(self)
-        return e.n_leaves == 1
+        return reduce(self).n_leaves == 1
 
     def inverse(self) -> "ThompsonElement":
-        return ThompsonElement(self.range_tree, self.domain_tree,
-                               (-self.rotation) % self.n_leaves)
+        k = self._first_image()
+        return ThompsonElement([(b, m, a, l)
+                                for a, l, b, m in self.pairs[k:] + self.pairs[:k]])
 
     def __call__(self, x: PointLike) -> Fraction:
         return to_piecewise(self)(x)
 
 
-IDENTITY = ThompsonElement(LEAF, LEAF, 0)
+IDENTITY = ThompsonElement([(0, 0, 0, 0)])
 
 
 def to_piecewise(e: ThompsonElement) -> PiecewiseLinearMap:
-    dom = e.domain_partition()
-    ran = e.range_partition()
-    pieces = []
-    for i, d_iv in enumerate(dom):
-        r_iv = ran[(i + e.rotation) % e.n_leaves]
-        pieces.append(PLPiece(d_iv.left, r_iv.left, d_iv.level - r_iv.level))
-    return PiecewiseLinearMap(tuple(pieces))
+    return PiecewiseLinearMap(tuple(PLPiece(Fraction(a, 1 << l), Fraction(b, 1 << m), l - m)
+                                    for a, l, b, m in e.pairs))
 
 
 def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> ThompsonElement:
-    """Reduced tree pair of a valid map: the coarsest domain partition on
+    """Reduced fraction of a valid map: the coarsest domain partition on
     which the map is affine with standard dyadic images."""
 
     def admissible(a: int, l: int) -> bool:
@@ -218,58 +241,28 @@ def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> Thompso
             return False  # image wraps inside the interval
         return (y / img_w).denominator == 1  # image left endpoint aligned
 
-    def build(a: int, l: int) -> BinaryTree:
+    pairs: List[LeafPair] = []
+
+    def build(a: int, l: int) -> None:
         if admissible(a, l):
-            return LEAF
+            x = Fraction(a, 1 << l)
+            lvl = l - m.piece_at(x).c
+            pairs.append((a, l, int(m(x) * (1 << lvl)), lvl))
+            return
         if l >= max_level:
             raise ValueError("not a Thompson map: no dyadic domain tree found")
-        return BinaryTree(build(2 * a, l + 1), build(2 * a + 1, l + 1))
+        build(2 * a, l + 1)
+        build(2 * a + 1, l + 1)
 
-    dom_tree = build(0, 0)
-    dom = tree_to_partition(dom_tree)
-    images = []
-    for i, iv in enumerate(dom):
-        y = m(iv.left)
-        c = m.piece_at(iv.left).c
-        lvl = iv.level - c
-        images.append((StdInterval(int(y * (1 << lvl)), lvl), i))
-    ordered = sorted(images, key=lambda t: t[0].left)
-    ran = DyadicPartition(tuple(iv for iv, _ in ordered))
-    position = {src: pos for pos, (_, src) in enumerate(ordered)}
-    n = len(dom)
-    rot = position[0]
-    for i in range(n):
-        if position[i] != (i + rot) % n:
-            raise ValueError("not a Thompson map: image order is not a rotation")
-    return ThompsonElement(dom_tree, partition_to_tree(ran), rot)
+    build(0, 0)
+    return ThompsonElement(pairs)
 
 
 # ---------------------------------------------------------------------------
-# integer leaf pairs: composition and reduction
+# composition and reduction
 
 
-# (a, l, b, m): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the
-# image leaf [b/2^m, (b+1)/2^m).  An element's pairs are listed in domain
-# order; their images run through the range partition cyclically.
-LeafPair = Tuple[int, int, int, int]
-
-
-def _pairs(e: ThompsonElement) -> List[LeafPair]:
-    ran = e.range_partition().intervals
-    ran = ran[e.rotation:] + ran[:e.rotation]
-    return [(d.left_numerator, d.level, r.left_numerator, r.level)
-            for d, r in zip(e.domain_partition().intervals, ran)]
-
-
-def _element(pairs: List[LeafPair]) -> ThompsonElement:
-    first = next(i for i, p in enumerate(pairs) if p[2] == 0)  # image at 0
-    dom = DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in pairs]))
-    ran = DyadicPartition(tuple([StdInterval(b, m) for _, _, b, m in
-                                 pairs[first:] + pairs[:first]]))
-    return ThompsonElement(partition_to_tree(dom), partition_to_tree(ran), -first)
-
-
-def _cancel(pairs: List[LeafPair]) -> List[LeafPair]:
+def _cancel(pairs: Sequence[LeafPair]) -> Sequence[LeafPair]:
     """Reduced pairs in one stack pass: a pair whose domain and image are
     both right halves merges with the top of the stack when that holds the
     matching left halves, repeatedly (the shape of `partition_to_tree`).
@@ -288,7 +281,7 @@ def _cancel(pairs: List[LeafPair]) -> List[LeafPair]:
     return stack if merged else pairs
 
 
-def _compose_pairs(g: List[LeafPair], h: List[LeafPair]) -> List[LeafPair]:
+def _compose_pairs(g: Sequence[LeafPair], h: Sequence[LeafPair]) -> List[LeafPair]:
     """Unreduced pairs of g o h in h's domain order, by one walk: h's images
     run through g's domain cyclically from the piece found by bisection, and
     each either lies inside one g piece or is split over several."""
@@ -323,9 +316,8 @@ def _compose_pairs(g: List[LeafPair], h: List[LeafPair]) -> List[LeafPair]:
 def reduce(e: ThompsonElement) -> ThompsonElement:
     """Canonical fully-cancelled fraction (idempotent); `e` itself when
     nothing cancels."""
-    pairs = _pairs(e)
-    reduced = _cancel(pairs)
-    return e if reduced is pairs else _element(reduced)
+    reduced = _cancel(e.pairs)
+    return e if reduced is e.pairs else ThompsonElement(reduced)
 
 
 def equal(g: ThompsonElement, h: ThompsonElement) -> bool:
@@ -334,7 +326,7 @@ def equal(g: ThompsonElement, h: ThompsonElement) -> bool:
 
 def compose(g: ThompsonElement, h: ThompsonElement) -> ThompsonElement:
     """Group product g.h = g o h (h acts first), returned reduced."""
-    return _element(_cancel(_compose_pairs(_pairs(g), _pairs(h))))
+    return ThompsonElement(_cancel(_compose_pairs(g.pairs, h.pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +337,22 @@ def generator(name: str) -> ThompsonElement:
     """A, B, C (standard generators) or S (half rotation, S = A.C)."""
     L = LEAF
     if name == "A":
-        return ThompsonElement(caret(L, caret(L, L)), caret(caret(L, L), L), 0)
+        return ThompsonElement.from_trees(caret(L, caret(L, L)), caret(caret(L, L), L))
     if name == "B":
-        return ThompsonElement(caret(L, caret(L, caret(L, L))),
-                               caret(L, caret(caret(L, L), L)), 0)
+        return ThompsonElement.from_trees(caret(L, caret(L, caret(L, L))),
+                                          caret(L, caret(caret(L, L), L)))
     if name == "C":
         t = caret(L, caret(L, L))
-        return ThompsonElement(t, t, 2)
+        return ThompsonElement.from_trees(t, t, 2)
     if name == "S":
         t = caret(L, L)
-        return ThompsonElement(t, t, 1)
+        return ThompsonElement.from_trees(t, t, 1)
     raise ValueError(f"unknown generator {name!r}")
 
 
 MAX_WORD_LENGTH = 1024  # generators in one word; longer words are refused
 # name -> (pairs of the generator, pairs of its inverse)
-_GENERATOR_PAIRS = {name: (_pairs(generator(name)), _pairs(generator(name).inverse()))
+_GENERATOR_PAIRS = {name: (generator(name).pairs, generator(name).inverse().pairs)
                     for name in "ABCS"}
 
 
@@ -375,7 +367,7 @@ def parse_word(word: str) -> ThompsonElement:
     if len(tokens) > MAX_WORD_LENGTH:
         raise ValueError(f"word has {len(tokens)} generators; "
                          f"at most {MAX_WORD_LENGTH} are allowed")
-    pairs: List[LeafPair] = [(0, 0, 0, 0)]
+    pairs: Sequence[LeafPair] = IDENTITY.pairs
     for tok in tokens:
         inv = False
         base = tok
@@ -387,7 +379,7 @@ def parse_word(word: str) -> ThompsonElement:
         if base not in _GENERATOR_PAIRS:
             generator(base)  # raises: unknown generator
         pairs = _cancel(_compose_pairs(pairs, _GENERATOR_PAIRS[base][inv]))
-    return _element(pairs)
+    return ThompsonElement(pairs)
 
 
 def element_from_document(doc) -> ThompsonElement:
@@ -398,23 +390,31 @@ def element_from_document(doc) -> ThompsonElement:
     if not isinstance(doc, dict):
         raise ValueError("state document must be a word or a JSON object")
     if "word" in doc:
+        if not isinstance(doc["word"], str):
+            raise ValueError("state 'word' must be a string")
         return parse_word(doc["word"])
     if "pieces" in doc:
-        pieces = tuple(PLPiece(Fraction(x), Fraction(y), int(c))
-                       for x, y, c in doc["pieces"])
-        return from_piecewise(PiecewiseLinearMap(pieces))
+        rows = doc["pieces"]
+        if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == 3
+                                               and isinstance(r[2], int) for r in rows)):
+            raise ValueError("state 'pieces' must be a list of [x, y, c] rows "
+                             "with an integer slope exponent c")
+        return from_piecewise(PiecewiseLinearMap(tuple(
+            PLPiece(_coordinate(x), _coordinate(y), c) for x, y, c in rows)))
     if "domain" not in doc or "range" not in doc:
         raise ValueError("state document needs 'word', 'pieces', or 'domain' and 'range'")
-    dom = BinaryTree.from_nested(_tupled(doc["domain"]))
-    ran = BinaryTree.from_nested(_tupled(doc["range"]))
-    return ThompsonElement(dom, ran, int(doc.get("rotation", 0)))
+    rotation = doc.get("rotation", 0)
+    if not isinstance(rotation, int):
+        raise ValueError("state 'rotation' must be an integer")
+    return ThompsonElement.from_trees(BinaryTree.from_nested(doc["domain"]),
+                                      BinaryTree.from_nested(doc["range"]), rotation)
 
 
-def _tupled(obj):
-    if obj == 0:
-        return 0
-    l, r = obj
-    return (_tupled(l), _tupled(r))
+def _coordinate(v) -> Fraction:
+    try:
+        return Fraction(v)
+    except (TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"piece coordinate {v!r} is not a number") from None
 
 
 def element_to_document(e: ThompsonElement) -> dict:
@@ -477,30 +477,28 @@ def pullback_partition(f: ThompsonElement, Q: DyadicPartition
                        ) -> Tuple[DyadicPartition, List[int]]:
     """Domain partition P' = f^{-1}(Q) for Q refining f's range partition.
 
-    Returns (P', sigma) with f(P'_i) = Q_{sigma[i]}.
+    Returns (P', sigma) with f(P'_i) = Q_{sigma[i]}.  P' is the domain of
+    id_Q o f, one merge walk; its images are the intervals of Q in cyclic
+    order exactly when Q refines the range, and otherwise some image lies
+    strictly inside an interval of Q, which makes more than |Q| pieces.
     """
-    e = reduce(f)
-    ran = e.range_partition()
-    if not is_refinement(ran, Q):
+    pulled = _compose_pairs([(q.left_numerator, q.level, q.left_numerator, q.level)
+                             for q in Q], f.pairs)
+    n = len(Q)
+    if len(pulled) > n:
         raise ValueError("partition does not refine the range partition")
-    dom = e.domain_partition()
-    n = e.n_leaves
-    pieces: List[StdInterval] = []
-    sigma: List[int] = []
-    qpos = {iv: k for k, iv in enumerate(Q.intervals)}
-    for i, d_iv in enumerate(dom):
-        r_iv = ran[(i + e.rotation) % n]
-        c = d_iv.level - r_iv.level  # slope exponent on this leaf
-        for q_iv in Q:
-            if not r_iv.contains_interval(q_iv):
-                continue
-            lvl = q_iv.level + c
-            offset = q_iv.left_numerator - (r_iv.left_numerator << (q_iv.level - r_iv.level))
-            a = (d_iv.left_numerator << (lvl - d_iv.level)) + offset
-            pieces.append(StdInterval(a, lvl))
-            sigma.append(qpos[q_iv])
-    P = DyadicPartition(tuple(pieces))
-    return P, sigma
+    first = next(i for i, p in enumerate(pulled) if p[2] == 0)
+    P = DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in pulled]))
+    return P, [(i - first) % n for i in range(n)]
+
+
+def pulled_back(f: ThompsonElement, Q: DyadicPartition, by_slot: Dict[int, np.ndarray]
+                ) -> Tuple[BinaryTree, Dict[int, np.ndarray]]:
+    """The vacuum tree of P' = f^{-1}(Q), and `by_slot` (slot of Q -> value)
+    moved to the matching slots of P'."""
+    P, sigma = pullback_partition(f, Q)
+    slot_of = {q: i for i, q in enumerate(sigma)}
+    return partition_to_tree(P), {slot_of[q]: v for q, v in by_slot.items()}
 
 
 def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
@@ -515,10 +513,7 @@ def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
     `pair_rooted` uses the maximally entangled pair at the top caret (the
     direct-limit vacuum vector).
     """
-    P, sigma = pullback_partition(f, Q)
-    slot_of = {q: i for i, q in enumerate(sigma)}
-    leaf_ops = {slot_of[q]: op for q, op in ops_by_slot.items()}
-    tree = partition_to_tree(P)
+    tree, leaf_ops = pulled_back(f, Q, ops_by_slot)
     if pair_rooted:
         return treestate.pair_vacuum_expectation_batch(tree, V, leaf_ops)
     return treestate.vacuum_expectation_batch(tree, V, leaf_ops)
@@ -532,8 +527,10 @@ def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box, level: int,
 
     Returns (all deviations <= tol, max deviation).
     """
-    d = V.d
-    if d ** (1 << level) > treestate.oracle_cap():
+    check_regular_level(level, "level")
+    cap = treestate.oracle_cap()
+    # the state has d^(2^level) entries; for d >= 2, 2^bit_length already exceeds cap
+    if V.d ** min(1 << level, cap.bit_length()) > cap:
         raise ValueError("oracle size exceeded: level too deep for the check")
     S = eigendecompose(build_channel(V))
     mus = S.right_ops  # (n, d, d)

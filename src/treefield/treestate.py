@@ -18,7 +18,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import BinaryTree, StdInterval, tree_to_partition
+from .dyadic import BinaryTree
 from .fusion import fuse_batch
 from .spectral import Isometry3Box
 
@@ -32,28 +32,16 @@ def oracle_cap() -> int:
 
 @dataclass(frozen=True)
 class LabelledTree:
-    """Binary tree with optional leaf operators (absent leaf = identity).
-
-    `leaf_intervals` carries the geometric labels; it defaults to the tree's
-    own partition and is bookkeeping only -- contraction ignores it.
-    """
+    """Binary tree with optional leaf operators (absent leaf = identity)."""
 
     tree: BinaryTree
     leaf_ops: Dict[int, np.ndarray] = field(default_factory=dict)
-    leaf_intervals: Optional[Tuple[StdInterval, ...]] = None
 
     def __post_init__(self):
         n = self.tree.leaf_count()
         for idx in self.leaf_ops:
             if not 0 <= idx < n:
                 raise ValueError(f"leaf index {idx} out of range for {n} leaves")
-        if self.leaf_intervals is not None and len(self.leaf_intervals) != n:
-            raise ValueError("leaf label count does not match leaf count")
-
-    def intervals(self) -> Tuple[StdInterval, ...]:
-        if self.leaf_intervals is not None:
-            return self.leaf_intervals
-        return tree_to_partition(self.tree).intervals
 
 
 def _check_dims(ops: Dict[int, np.ndarray], d: int):
@@ -186,37 +174,3 @@ def oracle_expectation(t: LabelledTree, V: Isometry3Box,
     n = t.tree.leaf_count()
     S = apply_leaf_ops(phi, n, V.d, t.leaf_ops)
     return complex(np.vdot(phi, S) / V.d)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def labelled_tree_to_document(t: LabelledTree) -> dict:
-    from .spectral import complex_array_to_lists
-
-    def nested(node: BinaryTree):
-        if node.is_leaf():
-            return 0
-        return [nested(node.left), nested(node.right)]
-
-    return {
-        "tree": nested(t.tree),
-        "leaf_intervals": [str(iv) for iv in t.intervals()],
-        "leaf_ops": {str(i): complex_array_to_lists(op) for i, op in t.leaf_ops.items()},
-    }
-
-
-def labelled_tree_from_document(doc: dict) -> LabelledTree:
-    from .spectral import complex_array_from_lists
-
-    def denest(obj):
-        if obj == 0:
-            return BinaryTree()
-        l, r = obj
-        return BinaryTree(denest(l), denest(r))
-
-    tree = denest(doc["tree"])
-    ops = {int(k): complex_array_from_lists(v) for k, v in doc.get("leaf_ops", {}).items()}
-    ivs = tuple(StdInterval.parse(s) for s in doc["leaf_intervals"])
-    return LabelledTree(tree, ops, ivs)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -175,6 +176,21 @@ def test_check_commands(capsys):
     assert code == 0 and "pass" in out
 
 
+def test_check_modular_level_bound(capsys):
+    # refused before the oracle size d^(2^level) is computed
+    cases = [("-1", "level -1 is negative"), ("21", "level 21 exceeds the maximum 20"),
+             ("100", "level 100 exceeds the maximum 20"), ("5", "oracle size exceeded")]
+    for level, message in cases:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--model", "qutrit", "modular",
+                             "--level", level)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
 def test_model_export_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "model-export", "--model", "fibonacci")
     assert code == 0
@@ -198,18 +214,26 @@ def test_domain_error_exit_code(capsys, tmp_path):
     no_labels.write_text(json.dumps({"positions": ["1/4", "1/2"]}))
     no_positions = tmp_path / "no_positions.json"
     no_positions.write_text(json.dumps({"labels": ["δ¹", "δ¹"]}))
-    bad_state = tmp_path / "bad_state.json"
-    bad_state.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
-                                     "state": {"rotation": 1}}))
+    # state documents of the wrong type, as requests and as `thompson reduce`
+    bad_states = [({"rotation": 1}, "state document needs"),
+                  ({"word": 5}, "'word' must be a string"),
+                  ({"domain": 1, "range": 2}, "tree documents nest"),
+                  ({"pieces": 5}, "'pieces' must be a list")]
+    corr = ["correlator", "--model", "qutrit"]
     cases = [
-        (["--at", "1/4", "--at", "1/4", "--fields", "δ¹", "δ¹"], "coincident"),
-        (["--at", "1/0", "--fields", "δ¹"], "zero denominator"),
-        (["--request", str(no_labels)], "list 'labels'"),
-        (["--request", str(no_positions)], "list 'positions'"),
-        (["--request", str(bad_state)], "state document needs"),
+        (corr + ["--at", "1/4", "--at", "1/4", "--fields", "δ¹", "δ¹"], "coincident"),
+        (corr + ["--at", "1/0", "--fields", "δ¹"], "zero denominator"),
+        (corr + ["--request", str(no_labels)], "list 'labels'"),
+        (corr + ["--request", str(no_positions)], "list 'positions'"),
     ]
+    for k, (state, message) in enumerate(bad_states):
+        bad_state = tmp_path / f"bad_state_{k}.json"
+        bad_state.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
+                                         "state": state}))
+        cases.append((corr + ["--request", str(bad_state)], message))
+        cases.append((["thompson", "reduce", json.dumps(state)], message))
     for argv, message in cases:
-        code, out, err = run(capsys, "correlator", "--model", "qutrit", *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

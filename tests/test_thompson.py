@@ -62,7 +62,7 @@ def test_s_equals_a_compose_c():
 
 def test_identity_pair_reduces_to_leaf():
     t = caret(caret(LEAF, LEAF), LEAF)
-    e = ThompsonElement(t, t, 0)
+    e = ThompsonElement.from_trees(t, t, 0)
     r = reduce(e)
     assert r.n_leaves == 1 and r.domain_tree == LEAF
 
@@ -71,7 +71,7 @@ def test_worked_fraction_reduction():
     # four-leaf fraction whose middle caret pair cancels
     s = caret(caret(LEAF, caret(LEAF, LEAF)), LEAF)
     t = caret(LEAF, caret(caret(LEAF, LEAF), LEAF))
-    e = ThompsonElement(s, t, 0)
+    e = ThompsonElement.from_trees(s, t, 0)
     r = reduce(e)
     assert r.domain_tree == caret(caret(LEAF, LEAF), LEAF)
     assert r.range_tree == caret(LEAF, caret(LEAF, LEAF))
@@ -207,23 +207,6 @@ def test_pullback_partition_rotation():
         pullback_partition(reduce(B), TRIVIAL_PARTITION)
 
 
-def test_pullback_is_the_exact_preimage():
-    # f maps the i-th pulled-back interval onto Q_{sigma[i]} pointwise
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        f = reduce(rand_element(rng))
-        m = to_piecewise(f)
-        Q = f.range_partition()
-        for _ in range(int(rng.integers(0, 4))):
-            Q = Q.refine_at(int(rng.integers(0, len(Q))))
-        P, sigma = pullback_partition(f, Q)
-        assert len(P) == len(Q) and sorted(sigma) == list(range(len(Q)))
-        for i, iv in enumerate(P):
-            target = Q[sigma[i]]
-            assert m(iv.left) == target.left
-            assert iv.width * Fraction(2) ** m.piece_at(iv.left).c == target.width
-
-
 def test_vacuum_invariance_qutrit_and_fixture():
     q = preset("qutrit").isometry
     for g in (S, C):
@@ -267,7 +250,7 @@ def split(e, i):
     j = (i + e.rotation) % n
     dom = e.domain_partition().refine_at(i)
     ran = e.range_partition().refine_at(j)
-    return ThompsonElement(partition_to_tree(dom), partition_to_tree(ran), j - i)
+    return ThompsonElement.from_trees(partition_to_tree(dom), partition_to_tree(ran), j - i)
 
 
 @PROPS
@@ -301,3 +284,65 @@ def test_property_reduce_matches_the_piecewise_reference(e, cuts):
             u = split(u, k % u.n_leaves)
     assert u.n_leaves > e.n_leaves
     assert reduce(u) == from_piecewise(to_piecewise(u)) == e
+
+
+@PROPS
+@given(elements(), st.data())
+def test_property_pair_constructor_rejects_malformed_pairs(e, data):
+    pairs = list(e.pairs)
+    n = len(pairs)
+    i = data.draw(st.integers(0, n - 1))
+    a, l, b, m = pairs[i]
+    first = next(k for k, p in enumerate(pairs) if p[2] == 0)
+    fb, fm = pairs[first][2:]
+    bad = [
+        (pairs[:i] + pairs[i + 1:], "empty|gap|start at 0|end at 1"),  # a gap
+        (pairs[:i + 1] + pairs[i:], "gap or overlap"),  # an overlap
+        (pairs[:first] + [pairs[first][:2] + (fb + 1, fm + 1)] + pairs[first + 1:],
+         "no image leaf starts at 0"),
+        (pairs[:i] + [(a + (1 << l), l, b, m)] + pairs[i + 1:], "not inside"),
+        (pairs[:i] + [(a, l, b + (1 << m), m)] + pairs[i + 1:], "not inside"),
+    ]
+    for malformed, message in bad:
+        with pytest.raises(ValueError, match=message):
+            ThompsonElement(malformed)
+
+
+@PROPS
+@given(elements(), st.lists(st.integers(min_value=0), max_size=4))
+def test_property_trees_and_documents_round_trip(e, cuts):
+    u = e
+    for k in cuts:
+        u = split(u, k % u.n_leaves)
+    assert ThompsonElement.from_trees(u.domain_tree, u.range_tree, u.rotation) == u
+    doc = json.loads(json.dumps(element_to_document(u)))
+    assert element_from_document(doc) == reduce(u) == e
+
+
+def coarsen(P):
+    """P with its first pair of sibling intervals merged."""
+    ivs = P.intervals
+    i = next(k for k in range(len(ivs) - 1) if ivs[k].left_numerator % 2 == 0
+             and ivs[k + 1] == StdInterval(ivs[k].left_numerator + 1, ivs[k].level))
+    parent = StdInterval(ivs[i].left_numerator >> 1, ivs[i].level - 1)
+    return DyadicPartition(ivs[:i] + (parent,) + ivs[i + 2:])
+
+
+@PROPS
+@given(elements(), st.lists(st.integers(min_value=0), max_size=4))
+def test_pullback_is_the_exact_preimage(f, cuts):
+    # f maps the i-th pulled-back interval onto Q_{sigma[i]} pointwise, for Q
+    # any refinement of f's range partition
+    m = to_piecewise(f)
+    Q = f.range_partition()
+    for k in cuts:
+        Q = Q.refine_at(k % len(Q))
+    P, sigma = pullback_partition(f, Q)
+    assert len(P) == len(Q) and sorted(sigma) == list(range(len(Q)))
+    for i, iv in enumerate(P):
+        target = Q[sigma[i]]
+        assert m(iv.left) == target.left
+        assert iv.width * Fraction(2) ** m.piece_at(iv.left).c == target.width
+    if f.n_leaves > 1:  # one step coarser than the range partition
+        with pytest.raises(ValueError, match="does not refine"):
+            pullback_partition(f, coarsen(f.range_partition()))

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,7 @@ from treefield.dyadic import (LEAF, caret, partition_to_tree,
 from treefield.models import preset
 from treefield.spectral import Isometry3Box, build_channel, eigendecompose
 from treefield.treestate import (LabelledTree, isometry_matrix,
-                                 labelled_tree_from_document,
-                                 labelled_tree_to_document, oracle_expectation,
+                                 oracle_expectation,
                                  pair_vacuum_expectation_batch,
                                  vacuum_expectation)
 
@@ -171,17 +168,3 @@ def test_pair_vacuum_matches_state_vector():
     batched = {i: np.asarray(op, dtype=complex)[None] for i, op in ops.items()}
     got = pair_vacuum_expectation_batch(tree, V, batched)
     assert got.shape == (1,) and abs(got[0] - want) < 1e-12
-
-
-def test_labelled_tree_serialization():
-    m = preset("qutrit")
-    tree = caret(LEAF, caret(LEAF, LEAF))
-    ops = {0: m.spectral.right_ops[1], 2: m.spectral.right_ops[5]}
-    t = LabelledTree(tree, ops)
-    doc = json.loads(json.dumps(labelled_tree_to_document(t)))
-    t2 = labelled_tree_from_document(doc)
-    assert t2.tree == tree
-    assert set(t2.leaf_ops) == set(ops)
-    for k in ops:
-        assert np.array_equal(t2.leaf_ops[k], ops[k])
-    assert t2.intervals() == t.intervals()
