@@ -21,7 +21,7 @@ from . import treestate
 from .dyadic import (DyadicPartition, minimal_supporting_partition,
                      partition_to_tree)
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
-                     resolve_model, to_document)
+                     parse_document, resolve_model, to_document)
 from .spectral import scaling_dimension
 
 
@@ -102,7 +102,8 @@ def cmd_ope(args) -> int:
 def _request(args, model: ModelSpec) -> co.CorrelatorRequest:
     if args.request:
         with open(args.request, "r", encoding="utf-8") as fh:
-            return co.request_from_document(json.load(fh), model)
+            text = fh.read()
+        return parse_document(text, lambda doc: co.request_from_document(doc, model))
     if not args.at or not args.fields:
         raise ValueError("need --request, or --at positions with --fields labels")
     if len(args.at) != len(args.fields):
@@ -179,7 +180,7 @@ def cmd_thompson(args) -> int:
         print(json.dumps(th.element_to_document(e), sort_keys=True))
         return 0
     if args.action == "reduce":
-        e = th.element_from_document(json.loads(args.args[0]))
+        e = parse_document(args.args[0], th.element_from_document)
         print(json.dumps(th.element_to_document(e), sort_keys=True))
         return 0
     if args.action == "schwarzian":

@@ -1,22 +1,27 @@
 """Exact arithmetic on the dyadic circle [0,1): points, standard intervals,
-partitions, the partition <-> binary tree bijection and the tree metric.
+partitions, the partition <-> binary tree bijection, leaf pairs and the tree
+metric.
 
 A standard interval is its integer (left numerator, level) pair.  Partition
-checks, the partition <-> tree bijection and the common refinement run on
-those integers; `Fraction` remains in the point-facing operations (`index_of`,
-`is_refinement`, the supporting-partition descent) and at the API edges
-(`StdInterval.left/.right/.width`, `CirclePoint`, `DyadicRational.as_fraction`).
-No floats enter any decision.  Intervals are half-open [a, b) throughout,
-including the last one.
+checks and the partition <-> tree bijection run on those integers.  A leaf
+pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l) affinely onto
+[b/2^m, (b+1)/2^m); one merge walk over two pair lists, `_compose_pairs`,
+composes Thompson elements, pulls a partition back through one, and gives
+the common refinement of two partitions as the domain of id_P o id_Q, all
+on integers.  `Fraction` remains in the point-facing operations
+(`index_of`, `is_refinement`, the supporting-partition descent) and at the
+API edges (`StdInterval.left/.right/.width`, `CirclePoint`,
+`DyadicRational.as_fraction`).  No floats enter any decision.  Intervals are
+half-open [a, b) throughout, including the last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
-MAX_LEVEL = 64  # default depth cap; deeper requests raise instead of truncating
+MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
 
 PointLike = Union["DyadicRational", "CirclePoint", Fraction, int, str]
@@ -268,11 +273,6 @@ class StdInterval:
     def width(self) -> Fraction:
         return Fraction(1, 1 << self.level)
 
-    def contains_interval(self, other: "StdInterval") -> bool:
-        if other.level < self.level:
-            return False
-        return (other.left_numerator >> (other.level - self.level)) == self.left_numerator
-
     def halves(self) -> Tuple["StdInterval", "StdInterval"]:
         a, l = self.left_numerator, self.level
         return StdInterval(2 * a, l + 1), StdInterval(2 * a + 1, l + 1)
@@ -466,17 +466,56 @@ def partition_to_tree(P: DyadicPartition) -> BinaryTree:
     return stack[0][2]
 
 
+# ---------------------------------------------------------------------------
+# leaf pairs and the merge walk
+
+
+# (a, l, b, m): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the
+# image leaf [b/2^m, (b+1)/2^m).
+LeafPair = Tuple[int, int, int, int]
+
+
+def identity_pairs(P: DyadicPartition) -> List[LeafPair]:
+    """The identity on P: every interval maps onto itself."""
+    return [(iv.left_numerator, iv.level, iv.left_numerator, iv.level) for iv in P]
+
+
+def _compose_pairs(g: Sequence[LeafPair], h: Sequence[LeafPair]) -> List[LeafPair]:
+    """Unreduced pairs of g o h in h's domain order, by one walk: h's images
+    run through g's domain cyclically from the piece found by bisection, and
+    each either lies inside one g piece or is split over several."""
+    b0, m0 = h[0][2], h[0][3]
+    j, hi = 0, len(g) - 1
+    while j < hi:  # last g piece starting at or before h's first image
+        mid = (j + hi + 1) // 2
+        if g[mid][0] << m0 <= b0 << g[mid][1]:
+            j = mid
+        else:
+            hi = mid - 1
+    n = len(g)
+    out: List[LeafPair] = []
+    for a, l, b, m in h:
+        ga, gl, gb, gm = g[j]
+        if gl <= m:  # h's image sits at offset b - (ga << d) inside g's piece
+            d = m - gl
+            out.append((a, l, (gb << d) + b - (ga << d), gm + d))
+            if b + 1 == (ga + 1) << d:
+                j = (j + 1) % n
+            continue
+        while True:  # g's pieces cover h's image; pull each back into h's domain
+            ga, gl, gb, gm = g[j]
+            d = gl - m
+            out.append(((a << d) + ga - (b << d), l + d, gb, gm))
+            j = (j + 1) % n
+            if ga + 1 == (b + 1) << d:
+                break
+    return out
+
+
 def common_refinement(P: DyadicPartition, Q: DyadicPartition) -> DyadicPartition:
-    """Coarsest partition refining both; computed by merging the two trees."""
-
-    def merge(a: BinaryTree, b: BinaryTree) -> BinaryTree:
-        if a.is_leaf():
-            return b
-        if b.is_leaf():
-            return a
-        return BinaryTree(merge(a.left, b.left), merge(a.right, b.right))
-
-    return tree_to_partition(merge(partition_to_tree(P), partition_to_tree(Q)))
+    """Coarsest partition refining both: the domain of id_P o id_Q."""
+    walk = _compose_pairs(identity_pairs(P), identity_pairs(Q))
+    return DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in walk]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +527,12 @@ def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
     return len(set(idx)) == len(idx)
 
 
-def minimal_supporting_partition(points: Sequence[PointLike],
-                                 max_level: int = MAX_LEVEL) -> DyadicPartition:
+def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition:
     """Unique coarsest partition with at most one of the given points per interval.
 
     Construction descends from [0,1), splitting every interval that still
-    holds two or more points.
+    holds two or more points; the intervals that hold at most one are
+    appended left to right.
     """
     pts = [as_point(p).value for p in points]
     if not pts:
@@ -503,15 +542,17 @@ def minimal_supporting_partition(points: Sequence[PointLike],
             raise ValueError("coincident insertions")
         if a > b:
             raise ValueError("unordered tuple")
+    out: List[StdInterval] = []
 
-    def build(a: int, l: int, mine: Sequence[Fraction]) -> BinaryTree:
+    def build(a: int, l: int, mine: Sequence[Fraction]) -> None:
         if len(mine) <= 1:
-            return LEAF
-        if l >= max_level:
-            raise ValueError(f"maximum partition level {max_level} exceeded")
+            out.append(StdInterval(a, l))
+            return
+        if l >= MAX_LEVEL:
+            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
         mid = Fraction(2 * a + 1, 1 << (l + 1))
-        left = [p for p in mine if p < mid]
-        right = [p for p in mine if p >= mid]
-        return BinaryTree(build(2 * a, l + 1, left), build(2 * a + 1, l + 1, right))
+        build(2 * a, l + 1, [p for p in mine if p < mid])
+        build(2 * a + 1, l + 1, [p for p in mine if p >= mid])
 
-    return tree_to_partition(build(0, 0, pts))
+    build(0, 0, pts)
+    return DyadicPartition(tuple(out))

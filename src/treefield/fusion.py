@@ -54,10 +54,6 @@ class FusionTensor:
     def n(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, abg) -> complex:
-        a, b, g = abg
-        return complex(self.coefficients[a, b, g])
-
 
 def fusion_coefficients(V: Isometry3Box, S: SpectralData,
                         labels: Optional[Sequence[str]] = None) -> FusionTensor:
@@ -117,7 +113,18 @@ def fusion_to_document(f: FusionTensor) -> dict:
             "tol": f.tol}
 
 
-def fusion_from_document(doc: dict) -> FusionTensor:
-    return FusionTensor(tuple(doc["labels"]),
-                        complex_array_from_lists(doc["coefficients"]),
-                        tol=float(doc.get("tol", TOL_FUSION)))
+def string_tuple(value, what: str) -> Tuple[str, ...]:
+    """A document's list of strings, as a tuple."""
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(value)
+
+
+def fusion_from_document(doc) -> FusionTensor:
+    if not (isinstance(doc, dict) and "labels" in doc and "coefficients" in doc):
+        raise ValueError("fusion document needs 'labels' and 'coefficients'")
+    tol = doc.get("tol", TOL_FUSION)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ValueError("fusion 'tol' must be a number")
+    return FusionTensor(string_tuple(doc["labels"], "fusion 'labels'"),
+                        complex_array_from_lists(doc["coefficients"]), tol=float(tol))

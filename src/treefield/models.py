@@ -7,18 +7,21 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
 from .fusion import (FusionRing, FusionTensor, build_ring, fusion_coefficients,
-                     fusion_from_document, fusion_to_document)
-from .spectral import (AscendingChannel, Isometry3Box, SpectralData,
+                     fusion_from_document, fusion_to_document, string_tuple)
+from .spectral import (TOL_ZERO, AscendingChannel, Isometry3Box, SpectralData,
                        abstract_eigenvalues, build_channel,
                        complex_array_from_lists, complex_array_to_lists,
                        eigendecompose, pinned_spectral_data)
 
 SQRT5 = math.sqrt(5.0)
+TOL_PERFECT = 1e-10   # relative singular-value spread of a perfect pairing
+TOL_SWAP = 1e-12      # norm of T - SWAP(T)
+TOL_ROTATION = 1e-10  # norm of T - its cyclic leg shift
 
 QUTRIT_LABELS = ("1", "δ¹", "δ²", "β¹", "β²", "β³", "α¹", "α²", "α³")
 QUTRIT_ALIASES = {"d1": "δ¹", "d2": "δ²", "b1": "β¹", "b2": "β²", "b3": "β³",
@@ -200,7 +203,7 @@ class ModelSpec:
         return self.isometry
 
     def zero_mask(self) -> np.ndarray:
-        return np.abs(self.eigenvalues) <= 1e-12
+        return np.abs(self.eigenvalues) <= TOL_ZERO
 
 
 def preset(name: str) -> ModelSpec:
@@ -244,38 +247,39 @@ class PerfectReport:
         return self.pairing1.ok and self.pairing2.ok and self.pairing3.ok
 
 
-def _proportional_isometry(W: np.ndarray, tol: float = 1e-10) -> PairingReport:
+def _proportional_isometry(W: np.ndarray) -> PairingReport:
     s = np.linalg.svd(W, compute_uv=False)
     top = float(s[0])
     if top == 0.0:
         return PairingReport(False, 0.0)
-    ok = float(s[0] - s[-1]) <= tol * top
+    ok = float(s[0] - s[-1]) <= TOL_PERFECT * top
     return PairingReport(bool(ok), float(np.mean(s)))
 
 
-def check_perfect(V: Isometry3Box, tol: float = 1e-10) -> PerfectReport:
+def check_perfect(V: Isometry3Box) -> PerfectReport:
     """All three one-in/two-out leg bipartitions of T[j,k,l] = <jk|V|l> must
-    be proportional to isometries (relative singular-value spread <= tol)."""
+    be proportional to isometries (relative singular-value spread <=
+    TOL_PERFECT)."""
     T = V.tensor
     d = V.d
     w_l = T.reshape(d * d, d)                          # l -> (j, k)
     w_j = np.transpose(T, (1, 2, 0)).reshape(d * d, d)  # j -> (k, l)
     w_k = np.transpose(T, (0, 2, 1)).reshape(d * d, d)  # k -> (j, l)
-    return PerfectReport(_proportional_isometry(w_l, tol),
-                         _proportional_isometry(w_j, tol),
-                         _proportional_isometry(w_k, tol))
+    return PerfectReport(_proportional_isometry(w_l),
+                         _proportional_isometry(w_j),
+                         _proportional_isometry(w_k))
 
 
-def check_swap(V: Isometry3Box, tol: float = 1e-12) -> bool:
+def check_swap(V: Isometry3Box) -> bool:
     T = V.tensor
-    return bool(np.linalg.norm(T - np.transpose(T, (1, 0, 2))) <= tol)
+    return bool(np.linalg.norm(T - np.transpose(T, (1, 0, 2))) <= TOL_SWAP)
 
 
-def check_rotation(V: Isometry3Box, tol: float = 1e-10) -> bool:
+def check_rotation(V: Isometry3Box) -> bool:
     """Invariance of T[j,k,l] under the cyclic leg shift j->k->l->j with the
     canonical (1/sqrt d) sum |jj> pairing (component-wise a pure transpose)."""
     T = V.tensor
-    return bool(np.linalg.norm(T - np.transpose(T, (2, 0, 1))) <= tol)
+    return bool(np.linalg.norm(T - np.transpose(T, (2, 0, 1))) <= TOL_ROTATION)
 
 
 def degenerate_isometry(d: int = 3) -> Isometry3Box:
@@ -288,6 +292,17 @@ def degenerate_isometry(d: int = 3) -> Isometry3Box:
 
 # ---------------------------------------------------------------------------
 # model documents
+
+Parsed = TypeVar("Parsed")
+
+
+def parse_document(text: str, convert: Callable[[object], Parsed]) -> Parsed:
+    """`convert` applied to the JSON document in `text`; a document nested
+    too deeply for the parser or for `convert` raises ValueError."""
+    try:
+        return convert(json.loads(text))
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
 
 
 def to_document(spec: ModelSpec) -> dict:
@@ -323,8 +338,10 @@ def load_model(document) -> ModelSpec:
         if key not in doc:
             raise ValueError(f"model document missing {key!r}")
     kind = doc["kind"]
-    labels = tuple(doc.get("labels", ()))
-    aliases = dict(doc.get("aliases", {}))
+    labels = string_tuple(doc.get("labels", []), "model 'labels'")
+    aliases = doc.get("aliases", {})
+    if not (isinstance(aliases, dict) and all(isinstance(v, str) for v in aliases.values())):
+        raise ValueError("model 'aliases' must map names to labels")
 
     if kind == "isometry":
         if "isometry" not in doc:
@@ -337,9 +354,14 @@ def load_model(document) -> ModelSpec:
         pinned_l = pinned_m = None
         if "pinned_basis" in doc:
             pb = doc["pinned_basis"]
+            if not (isinstance(pb, dict) and "eigenvalues" in pb and "mus" in pb):
+                raise ValueError("'pinned_basis' needs 'eigenvalues' and 'mus'")
             pinned_l = complex_array_from_lists(pb["eigenvalues"])
             pinned_m = complex_array_from_lists(pb["mus"])
-        return ModelSpec(doc["name"], "isometry", labels, aliases, isometry=V,
+            d = V.d
+            if pinned_l.shape != (d * d,) or pinned_m.shape != (d * d, d, d):
+                raise ValueError("pinned basis shape does not match the isometry")
+        return ModelSpec(doc["name"], "isometry", labels, dict(aliases), isometry=V,
                          pinned_eigenvalues=pinned_l, pinned_mus=pinned_m)
 
     if kind == "abstract":
@@ -356,7 +378,7 @@ def load_model(document) -> ModelSpec:
             if moments.shape != (len(labels),):
                 raise ValueError("moments length does not match labels")
         abstract_eigenvalues(channel)  # raises "channel has no unit eigenvalue"
-        return ModelSpec(doc["name"], "abstract", tuple(labels), aliases,
+        return ModelSpec(doc["name"], "abstract", labels, dict(aliases),
                          channel_matrix=channel, fusion_data=fus,
                          vacuum_moments_data=moments)
 
@@ -371,6 +393,7 @@ def resolve_model(ref: str) -> ModelSpec:
         pass
     try:
         with open(ref, "r", encoding="utf-8") as fh:
-            return load_model(json.load(fh))
+            text = fh.read()
     except FileNotFoundError:
         raise ValueError(f"unknown model {ref!r}: not a preset and not a file")
+    return parse_document(text, load_model)

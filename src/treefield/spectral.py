@@ -8,7 +8,6 @@ row-major vectorisation vec(X)[j*d+k] = X[j,k].
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -18,6 +17,7 @@ import numpy as np
 TOL_ISOMETRY = 1e-12
 TOL_ZERO = 1e-12
 TOL_EIGEN = 1e-10
+TOL_GROUP = 1e-9  # eigenvalues this close share one eigenspace
 COND_LIMIT = 1e8
 
 
@@ -49,11 +49,10 @@ class Isometry3Box:
 
 @dataclass(frozen=True)
 class AscendingChannel:
-    """Linear map on operators in its matrix-unit representation."""
+    """Unital linear map on operators in its matrix-unit representation."""
 
     dimension: int
     matrix_rep: np.ndarray
-    origin: str = "isometry"  # "isometry" | "abstract"
 
     def __post_init__(self):
         m = np.asarray(self.matrix_rep, dtype=complex)
@@ -61,11 +60,10 @@ class AscendingChannel:
         if m.shape != (n, n):
             raise ValueError(f"matrix_rep must be {n}x{n}, got {m.shape}")
         object.__setattr__(self, "matrix_rep", m)
-        if self.origin == "isometry":
-            ident = np.eye(self.dimension).reshape(-1)
-            resid = np.linalg.norm(m @ ident - ident)
-            if resid > TOL_ISOMETRY * self.dimension:
-                raise ValueError(f"channel not unital (residual {resid:.3e})")
+        ident = np.eye(self.dimension).reshape(-1)
+        resid = np.linalg.norm(m @ ident - ident)
+        if resid > TOL_ISOMETRY * self.dimension:
+            raise ValueError(f"channel not unital (residual {resid:.3e})")
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         d = self.dimension
@@ -77,7 +75,7 @@ def build_channel(V: Isometry3Box) -> AscendingChannel:
     T = V.tensor
     d = V.d
     rep = np.einsum("abl,cbm->lmac", T.conj(), T).reshape(d * d, d * d)
-    return AscendingChannel(d, rep, origin="isometry")
+    return AscendingChannel(d, rep)
 
 
 def mirror_channel(V: Isometry3Box) -> AscendingChannel:
@@ -85,7 +83,7 @@ def mirror_channel(V: Isometry3Box) -> AscendingChannel:
     T = V.tensor
     d = V.d
     rep = np.einsum("bal,bcm->lmac", T.conj(), T).reshape(d * d, d * d)
-    return AscendingChannel(d, rep, origin="isometry")
+    return AscendingChannel(d, rep)
 
 
 @dataclass(frozen=True)
@@ -101,16 +99,10 @@ class SpectralData:
     eigenvalues: np.ndarray       # (n,) complex
     right_ops: np.ndarray         # (n, d, d) the mu^alpha
     left_ops: np.ndarray          # (n, d, d) the nu^alpha
-    pinned: bool = False
-    tol_zero: float = TOL_ZERO
 
     @property
     def n(self) -> int:
         return self.dimension ** 2
-
-    @property
-    def zero_mask(self) -> np.ndarray:
-        return np.abs(self.eigenvalues) <= self.tol_zero
 
     def expand(self, M: np.ndarray) -> np.ndarray:
         """Coefficients c with M = sum_a c_a mu^a."""
@@ -125,19 +117,19 @@ class SpectralData:
         return np.trace(self.right_ops, axis1=1, axis2=2) / self.dimension
 
 
-def scaling_dimension(lam: complex, tol_zero: float = TOL_ZERO) -> Tuple[float, float]:
+def scaling_dimension(lam: complex) -> Tuple[float, float]:
     """(-log2 |lambda|, arg lambda); the real part governs the divergence."""
     lam = complex(lam)
-    if abs(lam) <= tol_zero:
+    if abs(lam) <= TOL_ZERO:
         raise ValueError("zero ascending weight excluded")
     return (-math.log2(abs(lam)) + 0.0, cmath.phase(lam))
 
 
-def _group_eigenvalues(w: np.ndarray, tol: float = 1e-9) -> List[List[int]]:
+def _group_eigenvalues(w: np.ndarray) -> List[List[int]]:
     order = sorted(range(len(w)), key=lambda i: (w[i].real, w[i].imag))
     groups: List[List[int]] = []
     for i in order:
-        if groups and abs(w[groups[-1][-1]] - w[i]) <= tol:
+        if groups and abs(w[groups[-1][-1]] - w[i]) <= TOL_GROUP:
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -248,7 +240,7 @@ def eigendecompose(E: AscendingChannel) -> SpectralData:
 
     mus = Rmat.T.reshape(n, d, d)
     nus = (d * Linv.conj()).reshape(n, d, d)
-    return SpectralData(d, np.array(lams, dtype=complex), mus, nus, pinned=False)
+    return SpectralData(d, np.array(lams, dtype=complex), mus, nus)
 
 
 def pinned_spectral_data(E: AscendingChannel, eigenvalues: Sequence[complex],
@@ -268,7 +260,7 @@ def pinned_spectral_data(E: AscendingChannel, eigenvalues: Sequence[complex],
     if cond > COND_LIMIT:
         raise ValueError(f"defective or near-defective channel (cond {cond:.3e})")
     nus = (d * np.linalg.inv(Rmat).conj()).reshape(n, d, d)
-    return SpectralData(d, lams, M, nus, pinned=True)
+    return SpectralData(d, lams, M, nus)
 
 
 def abstract_eigenvalues(channel_matrix: np.ndarray) -> np.ndarray:
@@ -300,7 +292,7 @@ def spectral_radius_check(E: AscendingChannel) -> SpectralRadiusReport:
 
 
 # ---------------------------------------------------------------------------
-# serialization ([re, im] pairs; floats round-trip exactly through json)
+# [re, im] pair lists for documents (floats round-trip exactly through json)
 
 
 def complex_array_to_lists(a: np.ndarray):
@@ -310,46 +302,14 @@ def complex_array_to_lists(a: np.ndarray):
 
 
 def complex_array_from_lists(obj) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    message = "complex arrays must be nested lists of [re, im] pairs"
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
+    if arr.ndim == 0 or arr.shape[-1] != 2:
+        raise ValueError(message)
     out = np.empty(arr.shape[:-1], dtype=complex)
     out.real = arr[..., 0]
     out.imag = arr[..., 1]
     return out
-
-
-def channel_to_document(E: AscendingChannel) -> dict:
-    return {
-        "dimension": E.dimension,
-        "origin": E.origin,
-        "matrix_rep": complex_array_to_lists(E.matrix_rep),
-    }
-
-
-def channel_from_document(doc: dict) -> AscendingChannel:
-    return AscendingChannel(int(doc["dimension"]),
-                            complex_array_from_lists(doc["matrix_rep"]),
-                            origin=doc.get("origin", "isometry"))
-
-
-def spectral_to_document(S: SpectralData) -> dict:
-    return {
-        "dimension": S.dimension,
-        "pinned": S.pinned,
-        "eigenvalues": complex_array_to_lists(S.eigenvalues),
-        "right_ops": complex_array_to_lists(S.right_ops),
-        "left_ops": complex_array_to_lists(S.left_ops),
-    }
-
-
-def spectral_from_document(doc: dict) -> SpectralData:
-    return SpectralData(
-        int(doc["dimension"]),
-        complex_array_from_lists(doc["eigenvalues"]),
-        complex_array_from_lists(doc["right_ops"]),
-        complex_array_from_lists(doc["left_ops"]),
-        pinned=bool(doc["pinned"]),
-    )
-
-
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True)

@@ -1,17 +1,18 @@
 """Thompson's groups F and T as reduced tree-pair fractions with an exact
 piecewise-linear map view.
 
-An element is stored as its integer leaf pairs (a, l, b, m) in domain order:
-the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the image leaf
-[b/2^m, (b+1)/2^m).  As a tree pair it maps domain leaf i onto range leaf
-(i + rotation) mod n; rotation 0 gives F.  A product is one merge walk over
-two pair lists, and the same walk pulls a partition of the range back into
-the domain; a reduction is one stack pass cancelling sibling pairs, so
-reduced pairs are canonical: equal group elements have identical reduced
-pairs.  Trees are built only at the edges, by `ThompsonElement.from_trees`
-and by `domain_tree`/`range_tree` for documents.  The exact `Fraction`
-piecewise form serves point evaluation, slopes, breakpoint tables and the
-check of the integer algebra.
+An element is stored as its integer leaf pairs (a, l, b, m) in domain order
+(`dyadic.LeafPair`): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto
+the image leaf [b/2^m, (b+1)/2^m).  As a tree pair it maps domain leaf i
+onto range leaf (i + rotation) mod n; rotation 0 gives F.  A product is one
+pass of the merge walk `dyadic._compose_pairs` over two pair lists, and the
+same walk pulls a partition of the range back into the domain (it also
+gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
+sibling pairs, so reduced pairs are canonical: equal group elements have
+identical reduced pairs.  Trees are built only at the edges, by
+`ThompsonElement.from_trees` and by `domain_tree`/`range_tree` for
+documents.  The exact `Fraction` piecewise form serves point evaluation,
+slopes, breakpoint tables and the check of the integer algebra.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import numpy as np
 
 from . import treestate
 from .dyadic import (LEAF, MAX_LEVEL, BinaryTree, DyadicPartition,
-                     DyadicRational, PointLike, StdInterval, caret,
-                     check_regular_level, common_refinement, is_refinement,
-                     partition_to_tree, regular_partition, tree_to_partition,
-                     _as_fraction)
+                     DyadicRational, LeafPair, PointLike, StdInterval, caret,
+                     check_regular_level, common_refinement, identity_pairs,
+                     is_refinement, partition_to_tree, regular_partition,
+                     tree_to_partition, _as_fraction, _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -59,12 +60,18 @@ class PiecewiseLinearMap:
         ps = tuple(self.pieces)
         if not ps or ps[0].x != 0:
             raise ValueError("not a Thompson map: pieces must start at 0")
+        # every image width 2^c (x_{i+1} - x_i) lies in [2^-ly, 1], so a
+        # valid c lies in [-ly, lx]; checked before 2^c is computed
+        lx = max(p.x.denominator for p in ps).bit_length() - 1
+        ly = max(p.y.denominator for p in ps).bit_length() - 1
         widths = []
         for i, p in enumerate(ps):
             if not (0 <= p.x < 1 and 0 <= p.y < 1):
                 raise ValueError("not a Thompson map: data outside [0,1)")
             if not _is_dyadic(p.x) or not _is_dyadic(p.y):
                 raise ValueError("not a Thompson map: non-dyadic breakpoint")
+            if not -ly <= p.c <= lx:
+                raise ValueError("not a Thompson map: slope exponent out of range")
             nxt = ps[i + 1].x if i + 1 < len(ps) else Fraction(1)
             if nxt <= p.x:
                 raise ValueError("not a Thompson map: breakpoints not increasing")
@@ -134,11 +141,6 @@ class PiecewiseLinearMap:
 
 # ---------------------------------------------------------------------------
 # tree-pair fractions as integer leaf pairs
-
-
-# (a, l, b, m): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto the
-# image leaf [b/2^m, (b+1)/2^m).
-LeafPair = Tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def to_piecewise(e: ThompsonElement) -> PiecewiseLinearMap:
                                     for a, l, b, m in e.pairs))
 
 
-def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> ThompsonElement:
+def from_piecewise(m: PiecewiseLinearMap) -> ThompsonElement:
     """Reduced fraction of a valid map: the coarsest domain partition on
     which the map is affine with standard dyadic images."""
 
@@ -249,7 +251,7 @@ def from_piecewise(m: PiecewiseLinearMap, max_level: int = MAX_LEVEL) -> Thompso
             lvl = l - m.piece_at(x).c
             pairs.append((a, l, int(m(x) * (1 << lvl)), lvl))
             return
-        if l >= max_level:
+        if l >= MAX_LEVEL:
             raise ValueError("not a Thompson map: no dyadic domain tree found")
         build(2 * a, l + 1)
         build(2 * a + 1, l + 1)
@@ -279,38 +281,6 @@ def _cancel(pairs: Sequence[LeafPair]) -> Sequence[LeafPair]:
     if max(p[1] for p in stack) > MAX_LEVEL:
         raise ValueError("not a Thompson map: no dyadic domain tree found")
     return stack if merged else pairs
-
-
-def _compose_pairs(g: Sequence[LeafPair], h: Sequence[LeafPair]) -> List[LeafPair]:
-    """Unreduced pairs of g o h in h's domain order, by one walk: h's images
-    run through g's domain cyclically from the piece found by bisection, and
-    each either lies inside one g piece or is split over several."""
-    b0, m0 = h[0][2], h[0][3]
-    j, hi = 0, len(g) - 1
-    while j < hi:  # last g piece starting at or before h's first image
-        mid = (j + hi + 1) // 2
-        if g[mid][0] << m0 <= b0 << g[mid][1]:
-            j = mid
-        else:
-            hi = mid - 1
-    n = len(g)
-    out: List[LeafPair] = []
-    for a, l, b, m in h:
-        ga, gl, gb, gm = g[j]
-        if gl <= m:  # h's image sits at offset b - (ga << d) inside g's piece
-            d = m - gl
-            out.append((a, l, (gb << d) + b - (ga << d), gm + d))
-            if b + 1 == (ga + 1) << d:
-                j = (j + 1) % n
-            continue
-        while True:  # g's pieces cover h's image; pull each back into h's domain
-            ga, gl, gb, gm = g[j]
-            d = gl - m
-            out.append(((a << d) + ga - (b << d), l + d, gb, gm))
-            j = (j + 1) % n
-            if ga + 1 == (b + 1) << d:
-                break
-    return out
 
 
 def reduce(e: ThompsonElement) -> ThompsonElement:
@@ -482,8 +452,7 @@ def pullback_partition(f: ThompsonElement, Q: DyadicPartition
     order exactly when Q refines the range, and otherwise some image lies
     strictly inside an interval of Q, which makes more than |Q| pieces.
     """
-    pulled = _compose_pairs([(q.left_numerator, q.level, q.left_numerator, q.level)
-                             for q in Q], f.pairs)
+    pulled = _compose_pairs(identity_pairs(Q), f.pairs)
     n = len(Q)
     if len(pulled) > n:
         raise ValueError("partition does not refine the range partition")
@@ -503,29 +472,29 @@ def pulled_back(f: ThompsonElement, Q: DyadicPartition, by_slot: Dict[int, np.nd
 
 def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
                                          ops_by_slot: Dict[int, np.ndarray],
-                                         V: Isometry3Box,
-                                         pair_rooted: bool = False) -> np.ndarray:
+                                         V: Isometry3Box) -> np.ndarray:
     """<U(f) Omega| ops on Q |U(f) Omega> for batched ops (slot -> (B,d,d)).
 
     The transformed vacuum on Q carries the amplitudes of the vacuum tree of
-    P' = f^{-1}(Q); operators attach at the pulled-back slots.  The default
-    closes the root with the normalised trace (the correlator functional);
-    `pair_rooted` uses the maximally entangled pair at the top caret (the
-    direct-limit vacuum vector).
+    P' = f^{-1}(Q); operators attach at the pulled-back slots, and the root
+    closes with the normalised trace (the correlator functional).
     """
     tree, leaf_ops = pulled_back(f, Q, ops_by_slot)
-    if pair_rooted:
-        return treestate.pair_vacuum_expectation_batch(tree, V, leaf_ops)
     return treestate.vacuum_expectation_batch(tree, V, leaf_ops)
 
 
-def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box, level: int,
-                            tol: float = 1e-10) -> Tuple[bool, float]:
+TOL_INVARIANCE = 1e-10  # largest deviation `vacuum_invariance_check` passes
+
+
+def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box,
+                            level: int) -> Tuple[bool, float]:
     """Does U(f) fix the vacuum state?  Compares transformed against plain
     expectations of all single and double eigen-operator insertions over the
-    level-`level` refinement, in the pair-rooted vacuum vector.
+    level-`level` refinement, in the pair-rooted vacuum vector (the top caret
+    holds the maximally entangled pair): the plain side on the tree of Q,
+    the transformed side on the pulled-back tree of f^{-1}(Q).
 
-    Returns (all deviations <= tol, max deviation).
+    Returns (all deviations <= TOL_INVARIANCE, max deviation).
     """
     check_regular_level(level, "level")
     cap = treestate.oracle_cap()
@@ -538,20 +507,20 @@ def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box, level: int,
     Q = common_refinement(regular_partition(level), e.range_partition())
     tree = partition_to_tree(Q)
     m = len(Q)
+
+    def deviation(ops: Dict[int, np.ndarray]) -> float:
+        plain = treestate.pair_vacuum_expectation_batch(tree, V, ops)
+        moved_tree, moved_ops = pulled_back(e, Q, ops)
+        moved = treestate.pair_vacuum_expectation_batch(moved_tree, V, moved_ops)
+        return float(np.max(np.abs(plain - moved)))
+
     worst = 0.0
     for i in range(m):
-        plain = treestate.pair_vacuum_expectation_batch(tree, V, {i: mus})
-        moved = transformed_vacuum_expectation_batch(e, Q, {i: mus}, V,
-                                                     pair_rooted=True)
-        worst = max(worst, float(np.max(np.abs(plain - moved))))
+        worst = max(worst, deviation({i: mus}))
     n = S.n
     pair_a = np.repeat(mus, n, axis=0)
     pair_b = np.tile(mus, (n, 1, 1))
     for i in range(m):
         for j in range(i + 1, m):
-            plain = treestate.pair_vacuum_expectation_batch(
-                tree, V, {i: pair_a, j: pair_b})
-            moved = transformed_vacuum_expectation_batch(
-                e, Q, {i: pair_a, j: pair_b}, V, pair_rooted=True)
-            worst = max(worst, float(np.max(np.abs(plain - moved))))
-    return worst <= tol, worst
+            worst = max(worst, deviation({i: pair_a, j: pair_b}))
+    return worst <= TOL_INVARIANCE, worst

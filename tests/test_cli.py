@@ -1,7 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefield.cli import main
 from treefield.models import preset, to_document
@@ -365,3 +373,238 @@ def test_thompson_golden_stdout(capsys, action, arg, want):
         argv = arg.split()
     code, out, err = run(capsys, "thompson", action, *argv)
     assert (code, out, err) == (0, want, "")
+
+
+# ---------------------------------------------------------------------------
+# correlator-side stdout, stderr and exit codes recorded before the common
+# refinement moved onto the integer merge walk
+
+GOLDEN_CORRELATOR = [
+    (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²'],
+     0, 'value: +42.6666666667+0j\nminimal supporting partition: {0/4, 1/4, 2/4, 3/4}\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²', '--json'],
+     0, '{"minimal_supporting_partition": ["0/4", "1/4", "2/4", "3/4"], "value": [42.666666666666636, 0.0]}\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²', '--state', 'C B-1 A S'],
+     0, 'value: -85.3333333333+0j\nminimal supporting partition: {0/4, 1/4, 2/4, 3/4}\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²', '--state', 'C B-1 A S', '--json'],
+     0, '{"minimal_supporting_partition": ["0/4", "1/4", "2/4", "3/4"], "value": [-85.33333333333323, 0.0]}\n',
+     ''),
+    (['oracle-diff', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²', '--json'],
+     0, '{"abs_diff": 7.105427357601002e-15, "engine": [42.666666666666636, 0.0], "oracle": [42.66666666666664, 0.0]}\n',
+     ''),
+    (['staircase', '--model', 'qutrit', '--x', '3/8', '--alpha', 'δ¹', '--beta', 'δ¹', '--depth', '6', '--grid', '3'],
+     0, 'y,re,im,abs\n0/8,-5.3333333333333215,0.0,5.3333333333333215\n1/8,-5.3333333333333215,0.0,5.3333333333333215\n2/8,-21.33333333333329,0.0,21.33333333333329\n4/8,-1.33333333333333,0.0,1.33333333333333\n5/8,-1.33333333333333,0.0,1.33333333333333\n6/8,-1.33333333333333,0.0,1.33333333333333\n7/8,-1.33333333333333,0.0,1.33333333333333\n',
+     ''),
+    (['staircase', '--model', 'qutrit', '--x', '3/8', '--alpha', 'β¹', '--beta', 'β¹', '--depth', '8', '--grid', '3'],
+     0, 'y,re,im,abs\n0/8,5.333333333333316,0.0,5.333333333333316\n1/8,5.333333333333316,0.0,5.333333333333316\n2/8,21.33333333333327,0.0,21.33333333333327\n4/8,1.3333333333333288,0.0,1.3333333333333288\n5/8,1.3333333333333288,0.0,1.3333333333333288\n6/8,1.3333333333333288,0.0,1.3333333333333288\n7/8,1.3333333333333288,0.0,1.3333333333333288\n',
+     ''),
+    (['staircase', '--model', 'qutrit', '--x', '517/1024', '--alpha', 'α¹', '--beta', 'α¹', '--depth', '6', '--grid', '3'],
+     0, 'y,re,im,abs\n0/8,-1.33333333333333,0.0,1.33333333333333\n1/8,-1.33333333333333,0.0,1.33333333333333\n2/8,-1.33333333333333,0.0,1.33333333333333\n3/8,-1.33333333333333,0.0,1.33333333333333\n4/8,-21845.333333333296,0.0,21845.333333333296\n5/8,-21.33333333333329,0.0,21.33333333333329\n6/8,-5.3333333333333215,0.0,5.3333333333333215\n7/8,-5.3333333333333215,0.0,5.3333333333333215\n',
+     ''),
+    (['staircase', '--model', 'qutrit', '--x', '517/1024', '--alpha', 'δ²', '--beta', 'δ¹', '--depth', '8', '--grid', '3'],
+     0, 'y,re,im,abs\n0/8,-0.6666666666666644,0.0,0.6666666666666644\n1/8,-0.6666666666666644,0.0,0.6666666666666644\n2/8,-0.6666666666666644,0.0,0.6666666666666644\n3/8,-0.6666666666666644,0.0,0.6666666666666644\n4/8,-10922.666666666648,0.0,10922.666666666648\n5/8,-10.666666666666636,0.0,10.666666666666636\n6/8,-2.666666666666658,0.0,2.666666666666658\n7/8,-2.666666666666658,0.0,2.666666666666658\n',
+     ''),
+    (['check', '--model', 'qutrit', 'modular', '--element', 'C', '--level', '3'],
+     0, 'pass (max deviation 1.665e-16)\n',
+     ''),
+    (['check', '--model', 'qutrit', 'modular', '--element', 'A B', '--level', '2'],
+     0, 'FAIL (max deviation 7.500e-01)\n',
+     ''),
+    (['check', '--model', 'qutrit', 'perfect'],
+     0, 'pairing1: pass (constant 1)\npairing2: pass (constant 1)\npairing3: pass (constant 1)\nall: pass\n',
+     ''),
+    (['check', '--model', 'qutrit', 'swap'],
+     0, 'pass\n',
+     ''),
+    (['check', '--model', 'qutrit', 'rotation'],
+     0, 'pass\n',
+     ''),
+    (['spectrum', '--model', 'qutrit'],
+     0, 'model: qutrit (kind: isometry)\nindex  label  eigenvalue                     h            phase\n    0  1      +1+0j                         0            0\n    1  δ¹     -0.5+0j                       1            3.14159\n    2  δ²     -0.5+0j                       1            3.14159\n    3  β¹     +0.5+0j                       1            0\n    4  β²     +0.5+0j                       1            0\n    5  β³     +0.5+0j                       1            0\n    6  α¹     -0.5+0j                       1            3.14159\n    7  α²     -0.5+0j                       1            3.14159\n    8  α³     -0.5+0j                       1            3.14159\n',
+     ''),
+    (['fusion', '--model', 'qutrit'],
+     0, 'model: qutrit\nring flags: associative=False commutative=True\n1 x 1 -> (+1+0j) 1\n1 x δ¹ -> (-0.5+0j) δ¹\n1 x δ² -> (-0.5+0j) δ²\n1 x β¹ -> (+0.5+0j) β¹\n1 x β² -> (+0.5+0j) β²\n1 x β³ -> (+0.5+0j) β³\n1 x α¹ -> (-0.5+0j) α¹\n1 x α² -> (-0.5+0j) α²\n1 x α³ -> (-0.5+0j) α³\nδ¹ x 1 -> (-0.5+0j) δ¹\nδ¹ x δ¹ -> (-0.333333333333+0j) 1 + (+0.333333333333+0j) δ¹ + (-0.666666666667+0j) δ²\nδ¹ x δ² -> (-0.166666666667+0j) 1 + (-0.333333333333+0j) δ¹ + (-0.333333333333+0j) δ²\nδ¹ x β¹ -> (-0.5+0j) β¹\nδ¹ x β³ -> (+0.5+0j) β³\nδ¹ x α¹ -> (+0.5+0j) α¹\nδ¹ x α³ -> (-0.5+0j) α³\nδ² x 1 -> (-0.5+0j) δ²\nδ² x δ¹ -> (-0.166666666667+0j) 1 + (-0.333333333333+0j) δ¹ + (-0.333333333333+0j) δ²\nδ² x δ² -> (-0.333333333333+0j) 1 + (-0.666666666667+0j) δ¹ + (+0.333333333333+0j) δ²\nδ² x β¹ -> (-0.5+0j) β¹\nδ² x β² -> (+0.5+0j) β²\nδ² x α¹ -> (+0.5+0j) α¹\nδ² x α² -> (-0.5+0j) α²\nβ¹ x 1 -> (+0.5+0j) β¹\nβ¹ x δ¹ -> (-0.5+0j) β¹\nβ¹ x δ² -> (-0.5+0j) β¹\nβ¹ x β¹ -> (+0.333333333333+0j) 1 + (-0.333333333333+0j) δ¹ + (-0.333333333333+0j) δ²\nβ¹ x β² -> (+0.5+0j) β³\nβ¹ x β³ -> (+0.5+0j) β²\nβ¹ x α² -> (-0.5+0j) α³\nβ¹ x α³ -> (-0.5+0j) α²\nβ² x 1 -> (+0.5+0j) β²\nβ² x δ² -> (+0.5+0j) β²\nβ² x β¹ -> (+0.5+0j) β³\nβ² x β² -> (+0.333333333333+0j) 1 + (-0.333333333333+0j) δ¹ + (+0.666666666667+0j) δ²\nβ² x β³ -> (+0.5+0j) β¹\nβ² x α¹ -> (+0.5+0j) α³\nβ² x α³ -> (+0.5+0j) α¹\nβ³ x 1 -> (+0.5+0j) β³\nβ³ x δ¹ -> (+0.5+0j) β³\nβ³ x β¹ -> (+0.5+0j) β²\nβ³ x β² -> (+0.5+0j) β¹\nβ³ x β³ -> (+0.333333333333+0j) 1 + (+0.666666666667+0j) δ¹ + (-0.333333333333+0j) δ²\nβ³ x α¹ -> (-0.5+0j) α²\nβ³ x α² -> (-0.5+0j) α¹\nα¹ x 1 -> (-0.5+0j) α¹\nα¹ x δ¹ -> (+0.5+0j) α¹\nα¹ x δ² -> (+0.5+0j) α¹\nα¹ x β² -> (+0.5+0j) α³\nα¹ x β³ -> (-0.5+0j) α²\nα¹ x α¹ -> (-0.333333333333+0j) 1 + (+0.333333333333+0j) δ¹ + (+0.333333333333+0j) δ²\nα¹ x α² -> (-0.5+0j) β³\nα¹ x α³ -> (+0.5+0j) β²\nα² x 1 -> (-0.5+0j) α²\nα² x δ² -> (-0.5+0j) α²\nα² x β¹ -> (-0.5+0j) α³\nα² x β³ -> (-0.5+0j) α¹\nα² x α¹ -> (-0.5+0j) β³\nα² x α² -> (-0.333333333333+0j) 1 + (+0.333333333333+0j) δ¹ + (-0.666666666667+0j) δ²\nα² x α³ -> (-0.5+0j) β¹\nα³ x 1 -> (-0.5+0j) α³\nα³ x δ¹ -> (-0.5+0j) α³\nα³ x β¹ -> (-0.5+0j) α²\nα³ x β² -> (+0.5+0j) α¹\nα³ x α¹ -> (+0.5+0j) β²\nα³ x α² -> (-0.5+0j) β¹\nα³ x α³ -> (-0.333333333333+0j) 1 + (-0.666666666667+0j) δ¹ + (+0.333333333333+0j) δ²\n',
+     ''),
+    (['ope', '--model', 'qutrit', 'δ¹', 'δ²'],
+     0, '1      coeff -0.166666666667+0j            D-exponent -2\nδ¹     coeff -0.333333333333+0j            D-exponent -1\nδ²     coeff -0.333333333333+0j            D-exponent -1\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/1180591620717411303424', '--fields', 'δ¹', 'δ¹'],
+     1, '',
+     'error: maximum partition level 64 exceeded\n'),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", GOLDEN_CORRELATOR,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, *_) in
+                              enumerate(GOLDEN_CORRELATOR)])
+def test_correlator_golden_stdout(capsys, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+def test_slope_exponent_bounded_before_power(capsys, tmp_path):
+    # 2^c for c = 10^12 would need about 125 GB; the range check comes first
+    state = {"pieces": [["0", "0", 10 ** 12]]}
+    request = tmp_path / "pieces.json"
+    request.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
+                                   "state": state}))
+    message = "error: not a Thompson map: slope exponent out of range\n"
+    for argv in (["thompson", "reduce", json.dumps(state)],
+                 ["correlator", "--model", "qutrit", "--request", str(request)]):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert result == (1, "", message)
+
+
+def nested_comb(depth):
+    return "[0, " * depth + "0" + "]" * depth
+
+
+def test_nested_documents(capsys, tmp_path):
+    # the parser's depth limit counts the caller's stack, so the deepest
+    # document that reduces is run from a fresh interpreter, as from a shell
+    comb = nested_comb(980)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "treefield", "thompson", "reduce",
+                           f'{{"domain": {comb}, "range": {comb}}}'],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"domain": 0, "range": 0, "rotation": 0}
+    deep = nested_comb(3000)
+    request = tmp_path / "deep_request.json"
+    request.write_text(f'{{"positions": ["1/4"], "labels": ["δ¹"], "state": '
+                       f'{{"domain": {deep}, "range": {deep}}}}}')
+    model = tmp_path / "deep_model.json"
+    model.write_text(f'{{"name": "deep", "kind": "isometry", "isometry": {deep}}}')
+    for argv in (["thompson", "reduce", f'{{"domain": {deep}, "range": 0}}'],
+                 ["correlator", "--model", "qutrit", "--request", str(request)],
+                 ["spectrum", "--model", str(model)]):
+        assert run(capsys, *argv) == (1, "", "error: document nested too deeply\n")
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand, bounded sizes, in-process
+
+FRACTIONS = st.builds(lambda q, p: f"{p % q}/{q}", st.integers(1, 8), st.integers(0, 7))
+POINTS = st.one_of(
+    FRACTIONS, FRACTIONS,
+    st.builds(lambda bits: "0." + bits, st.text("01", min_size=1, max_size=5)),
+    st.sampled_from(["0", "1", "1/0", "-1/3", "0.", "0.12", "nan", "x", "", "1e400"]))
+LABELS = st.sampled_from(["1", "δ¹", "δ¹", "d2", "d2", "β³", "a1", "τ", "τ", "tau", "0",
+                          "8", "9", "-1", "zz", ""])
+TOKENS = st.sampled_from(["A", "B", "C", "S", "A-1", "B^-1", "C⁻¹", "S-1"] * 3 + ["D", "A-2"])
+WORDS = st.lists(TOKENS, min_size=1, max_size=20)
+JUNK = st.sampled_from([5, -1, 1.5, "x", "", None, True, [], {}, [0], [[1, 2]]])
+TREES = st.recursive(st.sampled_from([0, 0, 0, 1, "x"]),
+                     lambda kids: st.lists(kids, min_size=2, max_size=2),
+                     max_leaves=12)
+COORDINATES = st.one_of(POINTS, st.sampled_from([0, 0.5, 0.25, 1, 2, None, "1/3"]))
+PIECES = st.lists(st.one_of(
+    st.tuples(COORDINATES, COORDINATES,
+              st.one_of(st.integers(-4, 4), st.sampled_from([70, -70, 10 ** 12]))).map(list),
+    JUNK), max_size=4)
+STATES = st.one_of(
+    WORDS.map(" ".join),
+    st.builds(lambda w: {"word": w}, st.one_of(WORDS.map(" ".join), JUNK)),
+    st.builds(lambda rows: {"pieces": rows}, st.one_of(PIECES, JUNK)),
+    st.fixed_dictionaries({"domain": TREES, "range": TREES},
+                          optional={"rotation": st.one_of(st.integers(-3, 3), JUNK)}),
+    st.just("vacuum"), JUNK)
+REQUESTS = st.one_of(
+    st.fixed_dictionaries({"positions": st.lists(POINTS, min_size=2, max_size=2),
+                           "labels": st.lists(LABELS, min_size=2, max_size=2)},
+                          optional={"state": STATES}),
+    st.fixed_dictionaries(
+        {}, optional={"positions": st.one_of(st.lists(st.one_of(POINTS, JUNK), max_size=3), JUNK),
+                      "labels": st.one_of(st.lists(st.one_of(LABELS, JUNK), max_size=3), JUNK),
+                      "state": STATES}))
+MODEL_KEYS = ["name", "kind", "labels", "aliases", "d", "isometry", "channel",
+              "fusion", "moments", "pinned_basis"]
+
+
+@st.composite
+def model_documents(draw):
+    doc = to_document(preset(draw(st.sampled_from(["qutrit", "fibonacci"]))))
+    for key in draw(st.lists(st.sampled_from(MODEL_KEYS), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(st.one_of(JUNK, st.sampled_from(["isometry", "abstract"])))
+    return doc
+
+
+@st.composite
+def argvs(draw, directory):
+    def model():
+        choice = draw(st.sampled_from(["qutrit", "qutrit", "fibonacci", "file", "nope"]))
+        if choice != "file":
+            return ["--model", choice]
+        path = directory / "model.json"
+        path.write_text(json.dumps(draw(model_documents())))
+        return ["--model", str(path)]
+
+    def request(most):
+        # oracle-diff builds a d^leaves state: two points keep it below 3^9
+        if draw(st.booleans()):
+            doc = draw(REQUESTS)
+            if isinstance(doc.get("positions"), list):
+                doc["positions"] = doc["positions"][:most]
+            path = directory / "request.json"
+            path.write_text(json.dumps(doc))
+            return ["--request", str(path)]
+        n = draw(st.integers(1, most))
+        out = [arg for p in draw(st.lists(POINTS, min_size=n, max_size=n))
+               for arg in ("--at", p)]
+        out += ["--fields", *draw(st.lists(LABELS, min_size=n, max_size=n))]
+        if draw(st.booleans()):
+            out += ["--state", " ".join(draw(WORDS))]
+        return out
+
+    def size(bound):
+        return draw(st.sampled_from([str(k) for k in range(-1, bound + 1)] * 3 + ["x", ""]))
+
+    cmd = draw(st.sampled_from(["spectrum", "fusion", "ope", "correlator", "oracle-diff",
+                                "staircase", "thompson", "check", "model-export"]))
+    if cmd == "thompson":
+        action = draw(st.sampled_from(["compose", "reduce", "schwarzian", "apply"]))
+        if action == "reduce":
+            text = draw(st.one_of(STATES.map(json.dumps),
+                                  st.sampled_from(["{", "[0, ", "5", "x"])))
+            return [cmd, action, text]
+        if action == "apply":
+            return [cmd, action, " ".join(draw(WORDS)), *draw(st.lists(POINTS, max_size=3))]
+        return [cmd, action, *draw(WORDS)]
+    argv = [cmd, *model()]
+    if draw(st.booleans()):
+        argv.append("--json")
+    if cmd == "ope":
+        argv += [draw(LABELS), draw(LABELS)]
+    elif cmd in ("correlator", "oracle-diff"):
+        argv += request(3 if cmd == "correlator" else 2)
+    elif cmd == "staircase":
+        argv += ["--x", draw(POINTS), "--alpha", draw(LABELS), "--beta", draw(LABELS),
+                 "--depth", size(5), "--grid", size(5)]
+        if draw(st.booleans()):
+            argv += ["-o", str(directory / "stairs.csv")]
+    elif cmd == "check":
+        argv += [draw(st.sampled_from(["perfect", "swap", "rotation", "modular"])),
+                 "--element", " ".join(draw(WORDS)), "--level", size(3)]
+    return argv
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_cli_fuzz(tmp_path_factory, data):
+    """Exit 0, or exit 1 or 2 with `error:` on the last stderr line; an
+    exception escaping `main` fails the example."""
+    argv = data.draw(argvs(tmp_path_factory.mktemp("fuzz")), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err.getvalue().splitlines()[-1]

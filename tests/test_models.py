@@ -136,6 +136,28 @@ def test_load_model_diagnostics():
         load_model({"name": "x", "kind": "weird"})
 
 
+@pytest.mark.parametrize("preset_name,key,value,message", [
+    ("fibonacci", "labels", 5, "'labels' must be a list of strings"),
+    ("fibonacci", "labels", [None, "τ"], "'labels' must be a list of strings"),
+    ("fibonacci", "aliases", ["tau"], "'aliases' must map names to labels"),
+    ("fibonacci", "channel", {}, "nested lists of \\[re, im\\] pairs"),
+    ("fibonacci", "channel", 1.5, "nested lists of \\[re, im\\] pairs"),
+    ("fibonacci", "fusion", "x", "fusion document needs"),
+    ("fibonacci", "fusion", {"coefficients": []}, "fusion document needs"),
+    ("qutrit", "isometry", [[1, 2], [3]], "nested lists of \\[re, im\\] pairs"),
+    ("qutrit", "pinned_basis", [], "'pinned_basis' needs"),
+    ("qutrit", "pinned_basis", {"eigenvalues": [[1.0, 0.0]], "mus": [[1.0, 0.0]]},
+     "pinned basis shape"),
+])
+def test_mistyped_document_fields(preset_name, key, value, message):
+    # refused with one ValueError naming the field; most of these used to end
+    # in a TypeError, KeyError or IndexError traceback
+    doc = json.loads(json.dumps(to_document(preset(preset_name))))
+    doc[key] = value
+    with pytest.raises(ValueError, match=message):
+        load_model(doc)
+
+
 def test_load_abstract_with_moments():
     fib = preset("fibonacci")
     doc = to_document(fib)

@@ -1,5 +1,4 @@
 import collections
-import json
 import math
 
 import numpy as np
@@ -7,10 +6,8 @@ import pytest
 
 from treefield.models import preset, qutrit_isometry
 from treefield.spectral import (AscendingChannel, Isometry3Box, build_channel,
-                                channel_from_document, channel_to_document,
                                 eigendecompose, mirror_channel,
-                                scaling_dimension, spectral_from_document,
-                                spectral_radius_check, spectral_to_document)
+                                scaling_dimension, spectral_radius_check)
 
 
 def random_isometry(d, seed):
@@ -58,7 +55,7 @@ def test_qutrit_eigenvalue_multiset():
 def test_qutrit_pinned_basis_matches_reference_matrices():
     m = preset("qutrit")
     S = m.spectral
-    assert S.pinned
+    assert np.array_equal(S.right_ops, m.pinned_mus)
     assert np.allclose(S.right_ops[0], np.eye(3))
     assert np.allclose(S.right_ops[m.label_index("δ¹")], np.diag([-1, 0, 1]))
     assert np.allclose(S.right_ops[m.label_index("δ²")], np.diag([-1, 1, 0]))
@@ -147,7 +144,7 @@ def test_defective_channel_rejected():
     # unital but defective: identity plus a nilpotent block
     rep = np.eye(4, dtype=complex)
     rep[1, 2] = 1.0
-    E = AscendingChannel(2, rep, origin="abstract")
+    E = AscendingChannel(2, rep)
     with pytest.raises(ValueError, match="defective or near-defective"):
         eigendecompose(E)
 
@@ -179,17 +176,3 @@ def test_mirror_channel_swap_symmetric():
     E = build_channel(V)
     Ep = mirror_channel(V)
     assert np.allclose(E.matrix_rep, Ep.matrix_rep, atol=1e-14)
-
-
-def test_serialization_round_trip_bit_exact():
-    V = random_isometry(2, 11)
-    E = build_channel(V)
-    S = eigendecompose(E)
-    doc = json.loads(json.dumps(channel_to_document(E)))
-    E2 = channel_from_document(doc)
-    assert E2.matrix_rep.tobytes() == E.matrix_rep.tobytes()
-    sdoc = json.loads(json.dumps(spectral_to_document(S)))
-    S2 = spectral_from_document(sdoc)
-    assert S2.right_ops.tobytes() == S.right_ops.tobytes()
-    assert S2.eigenvalues.tobytes() == S.eigenvalues.tobytes()
-    assert S2.pinned == S.pinned
