@@ -18,7 +18,7 @@ import numpy as np
 from . import correlator as co
 from . import thompson as th
 from . import treestate
-from .dyadic import (DyadicPartition, minimal_supporting_partition,
+from .dyadic import (DyadicPartition, as_point, minimal_supporting_partition,
                      partition_to_tree)
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      parse_document, resolve_model, to_document)
@@ -180,6 +180,8 @@ def cmd_thompson(args) -> int:
         print(json.dumps(th.element_to_document(e), sort_keys=True))
         return 0
     if args.action == "reduce":
+        if len(args.args) != 1:
+            raise ValueError("thompson reduce takes one state document")
         e = parse_document(args.args[0], th.element_from_document)
         print(json.dumps(th.element_to_document(e), sort_keys=True))
         return 0
@@ -189,9 +191,10 @@ def cmd_thompson(args) -> int:
             print(f"{pos}  {weight}")
         return 0
     if args.action == "apply":
+        if len(args.args) < 2:
+            raise ValueError("thompson apply takes a word and at least one point")
         e = th.parse_word(args.args[0])
         for point in args.args[1:]:
-            from .dyadic import as_point
             y = th.to_piecewise(e)(as_point(point).value)
             print(f"{point} -> {y.numerator}/{y.denominator}" if y.denominator > 1
                   else f"{point} -> {y.numerator}")

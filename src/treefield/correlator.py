@@ -4,8 +4,8 @@ expectations and staircase profiles.
 
 Every correlator -- vacuum or Thompson-transformed state, isometry or
 abstract model, point insertions or a smeared one-point sum -- goes through
-one evaluator, `_evaluate`: it propagates coordinate vectors through a
-product tensor and closes them with the vacuum functional.  An abstract
+one evaluator, `_evaluate`: a fold of the partition (`dyadic.fold_tree`)
+through a product tensor, closed with the vacuum functional.  An abstract
 model supplies these in label space (f^{ab}_g and the vacuum moments), an
 isometry model in matrix units (see `ModelSpec.evaluation`).  The matrix
 ascent and the dense oracle in `treestate` are its references.
@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import thompson as th
-from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, DyadicRational,
-                     PointLike, StdInterval, as_point, check_regular_level,
-                     common_prefix_length, common_refinement, is_refinement,
-                     minimal_supporting_partition, partition_to_tree,
+from .dyadic import (CirclePoint, DyadicPartition, DyadicRational, PointLike,
+                     StdInterval, as_point, check_regular_level,
+                     common_prefix_length, common_refinement, fold_tree,
+                     is_refinement, minimal_supporting_partition,
                      regular_partition)
 from .models import ModelSpec
 from .spectral import scaling_dimension
@@ -119,30 +119,26 @@ def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
     return vecs
 
 
-def _evaluate(tree: BinaryTree, vecs: Dict[int, np.ndarray],
+def _evaluate(P: DyadicPartition, vecs: Dict[int, np.ndarray],
               model: ModelSpec) -> complex:
     """The correlator evaluator, for every model kind and state.
 
-    Leaves carry coordinate vectors in the model's evaluation basis
-    (`ModelSpec.evaluation`); a caret fuses its children with the product
-    tensor, a lone child ascends with the left or right lone-child map, and
-    the root closes with the vacuum functional.  Abstract models run in label
-    space (f^{ab}_g and the moments), isometry models in matrix units."""
+    Folds P (`dyadic.fold_tree`): slot k holds `vecs[k]`, coordinates in the
+    evaluation basis (`ModelSpec.evaluation`), or nothing; a caret fuses two
+    vectors with the product tensor, a lone child ascends with the left or
+    right lone-child map, and the root closes with the vacuum functional.
+    Label space for abstract models, matrix units for isometry models."""
     ev = model.evaluation
     n = len(ev.closing)
 
-    def rec(node, offset) -> Tuple[Optional[np.ndarray], int]:
-        if node.is_leaf():
-            return vecs.get(offset), 1
-        lv, nl = rec(node.left, offset)
-        rv, nr = rec(node.right, offset + nl)
+    def join(lv: Optional[np.ndarray], rv: Optional[np.ndarray]) -> Optional[np.ndarray]:
         if rv is None:
-            return (None if lv is None else lv @ ev.left), nl + nr
+            return None if lv is None else lv @ ev.left
         if lv is None:
-            return rv @ ev.right, nl + nr
-        return rv @ (lv @ ev.pair).reshape(n, n), nl + nr
+            return rv @ ev.right
+        return rv @ (lv @ ev.pair).reshape(n, n)
 
-    root, _ = rec(tree, 0)
+    root = fold_tree(P, vecs.get, join)
     if root is None:
         return 1.0 + 0.0j
     return complex(root @ ev.closing)
@@ -166,8 +162,7 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
         if not is_refinement(P, partition):
             raise ValueError("partition does not refine the minimal supporting partition")
         P = partition
-    return _evaluate(partition_to_tree(P), _label_vectors(P, req.insertions, model),
-                     model)
+    return _evaluate(P, _label_vectors(P, req.insertions, model), model)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +273,11 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
 
     lam = model.eigenvalues
     live = ~model.zero_mask()
-    basis = model.evaluation.basis
-    tree = partition_to_tree(P)
-    total = 0.0 + 0.0j
-    for k, iv in enumerate(P):
+    ev = model.evaluation
+
+    def leaf(k: int) -> np.ndarray:
         # f-bar coefficients of this interval, weighted per label
+        iv = P[k]
         fbar = np.zeros(S.n, dtype=complex)
         for piece_iv, M in cover:
             lo = max(iv.left, piece_iv.left)
@@ -291,9 +286,12 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
                 fbar += float(hi - lo) * S.expand(M)
         vec = np.array([fbar[a] * ipow(lam[a], -iv.level) if live[a] else 0.0
                         for a in range(S.n)], dtype=complex)
-        if np.any(vec):
-            total += _evaluate(tree, {k: basis @ vec}, model)
-    return total
+        return ev.basis @ vec
+
+    # phi_P(f) is a sum of single-insertion terms: by linearity a caret lifts
+    # its left terms' sum by the left lone-child map, its right terms' by the right
+    root = fold_tree(P, leaf, lambda lv, rv: lv @ ev.left + rv @ ev.right)
+    return complex(root @ ev.closing)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +344,8 @@ def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     reduced), on the vacuum tree of f^{-1}(Q)."""
     positions = [ins.position for ins in req.insertions]
     Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
-    tree, vecs = th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model))
-    return _evaluate(tree, vecs, model)
+    P, vecs = th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model))
+    return _evaluate(P, vecs, model)
 
 
 def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,

@@ -3,28 +3,30 @@ partitions, the partition <-> binary tree bijection, leaf pairs and the tree
 metric.
 
 A standard interval is its integer (left numerator, level) pair.  Partition
-checks and the partition <-> tree bijection run on those integers.  A leaf
-pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l) affinely onto
-[b/2^m, (b+1)/2^m); one merge walk over two pair lists, `_compose_pairs`,
-composes Thompson elements, pulls a partition back through one, and gives
-the common refinement of two partitions as the domain of id_P o id_Q, all
-on integers.  `Fraction` remains in the point-facing operations
-(`index_of`, `is_refinement`, the supporting-partition descent) and at the
-API edges (`StdInterval.left/.right/.width`, `CirclePoint`,
-`DyadicRational.as_fraction`).  No floats enter any decision.  Intervals are
-half-open [a, b) throughout, including the last one.
+checks and `fold_tree`, one stack pass folding a partition's tree without
+building it, run on those integers.  A leaf pair (a, l, b, m) maps the
+interval [a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk
+over two pair lists, `_compose_pairs`, composes Thompson elements, pulls a
+partition back through one, and gives the common refinement of two
+partitions as the domain of id_P o id_Q, all on integers.  `Fraction`
+remains in the point-facing operations (`index_of`, `is_refinement`, the
+supporting-partition descent) and at the API edges (`StdInterval.left`,
+`.right`, `.width`, `CirclePoint`, `DyadicRational.as_fraction`).  No floats
+enter any decision.  Intervals are half-open [a, b) throughout, including
+the last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
 
 PointLike = Union["DyadicRational", "CirclePoint", Fraction, int, str]
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +451,27 @@ def tree_to_partition(t: BinaryTree) -> DyadicPartition:
     return DyadicPartition(tuple(out))
 
 
-def partition_to_tree(P: DyadicPartition) -> BinaryTree:
-    """One pass left to right: the stack holds (numerator, level, subtree) of
-    the maximal standard intervals covered so far; an interval that is a
-    right half merges with its left sibling on top of the stack, repeatedly."""
-    stack = []
-    for iv in P.intervals:
-        a, l, node = iv.left_numerator, iv.level, LEAF
+def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
+              join: Callable[[T, T], T]) -> T:
+    """P's tree folded without building it: slot k is `leaf(k)`; in one pass
+    left to right, the stack holds (numerator, level, value) of the maximal
+    standard intervals covered so far, and an interval that is a right half
+    joins its left sibling on top of the stack, `join(left, right)`, repeatedly."""
+    stack: List[Tuple[int, int, T]] = []
+    for k, iv in enumerate(P.intervals):
+        a, l, value = iv.left_numerator, iv.level, leaf(k)
         while a & 1 and stack and stack[-1][0] == a - 1 and stack[-1][1] == l:
-            node = BinaryTree(stack.pop()[2], node)
+            value = join(stack.pop()[2], value)
             a >>= 1
             l -= 1
-        stack.append((a, l, node))
+        stack.append((a, l, value))
     if len(stack) != 1 or stack[0][1] != 0:
         raise ValueError("interval sequence is not a dyadic tree cover")
     return stack[0][2]
+
+
+def partition_to_tree(P: DyadicPartition) -> BinaryTree:
+    return fold_tree(P, lambda k: LEAF, BinaryTree)
 
 
 # ---------------------------------------------------------------------------

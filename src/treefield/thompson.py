@@ -9,10 +9,10 @@ pass of the merge walk `dyadic._compose_pairs` over two pair lists, and the
 same walk pulls a partition of the range back into the domain (it also
 gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
 sibling pairs, so reduced pairs are canonical: equal group elements have
-identical reduced pairs.  Trees are built only at the edges, by
-`ThompsonElement.from_trees` and by `domain_tree`/`range_tree` for
-documents.  The exact `Fraction` piecewise form serves point evaluation,
-slopes, breakpoint tables and the check of the integer algebra.
+identical reduced pairs.  Trees are read only by `ThompsonElement.from_trees`;
+documents fold the partitions to nested lists (`dyadic.fold_tree`).  The
+exact `Fraction` piecewise form serves point evaluation, slopes, breakpoint
+tables and the check of the integer algebra.
 """
 
 from __future__ import annotations
@@ -26,9 +26,10 @@ import numpy as np
 from . import treestate
 from .dyadic import (LEAF, MAX_LEVEL, BinaryTree, DyadicPartition,
                      DyadicRational, LeafPair, PointLike, StdInterval, caret,
-                     check_regular_level, common_refinement, identity_pairs,
-                     is_refinement, partition_to_tree, regular_partition,
-                     tree_to_partition, _as_fraction, _compose_pairs)
+                     check_regular_level, common_refinement, fold_tree,
+                     identity_pairs, is_refinement, partition_to_tree,
+                     regular_partition, tree_to_partition, _as_fraction,
+                     _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -196,14 +197,6 @@ class ThompsonElement:
         images = [StdInterval(b, m) for _, _, b, m in self.pairs]
         k = self._first_image()
         return DyadicPartition(tuple(images[k:] + images[:k]))
-
-    @property
-    def domain_tree(self) -> BinaryTree:
-        return partition_to_tree(self.domain_partition())
-
-    @property
-    def range_tree(self) -> BinaryTree:
-        return partition_to_tree(self.range_partition())
 
     def is_identity(self) -> bool:
         return reduce(self).n_leaves == 1
@@ -389,16 +382,10 @@ def _coordinate(v) -> Fraction:
 
 def element_to_document(e: ThompsonElement) -> dict:
     e = reduce(e)
-    return {"domain": _listed(e.domain_tree.to_nested()),
-            "range": _listed(e.range_tree.to_nested()),
+    leaf, join = (lambda k: 0), (lambda l, r: [l, r])
+    return {"domain": fold_tree(e.domain_partition(), leaf, join),
+            "range": fold_tree(e.range_partition(), leaf, join),
             "rotation": e.rotation}
-
-
-def _listed(obj):
-    if obj == 0:
-        return 0
-    l, r = obj
-    return [_listed(l), _listed(r)]
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +449,11 @@ def pullback_partition(f: ThompsonElement, Q: DyadicPartition
 
 
 def pulled_back(f: ThompsonElement, Q: DyadicPartition, by_slot: Dict[int, np.ndarray]
-                ) -> Tuple[BinaryTree, Dict[int, np.ndarray]]:
-    """The vacuum tree of P' = f^{-1}(Q), and `by_slot` (slot of Q -> value)
-    moved to the matching slots of P'."""
+                ) -> Tuple[DyadicPartition, Dict[int, np.ndarray]]:
+    """P' = f^{-1}(Q), and `by_slot` (slot of Q -> value) moved to the
+    matching slots of P'."""
     P, sigma = pullback_partition(f, Q)
-    slot_of = {q: i for i, q in enumerate(sigma)}
-    return partition_to_tree(P), {slot_of[q]: v for q, v in by_slot.items()}
+    return P, {i: by_slot[q] for i, q in enumerate(sigma) if q in by_slot}
 
 
 def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
@@ -479,8 +465,8 @@ def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
     P' = f^{-1}(Q); operators attach at the pulled-back slots, and the root
     closes with the normalised trace (the correlator functional).
     """
-    tree, leaf_ops = pulled_back(f, Q, ops_by_slot)
-    return treestate.vacuum_expectation_batch(tree, V, leaf_ops)
+    P, leaf_ops = pulled_back(f, Q, ops_by_slot)
+    return treestate.vacuum_expectation_batch(partition_to_tree(P), V, leaf_ops)
 
 
 TOL_INVARIANCE = 1e-10  # largest deviation `vacuum_invariance_check` passes
@@ -507,10 +493,12 @@ def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box,
     Q = common_refinement(regular_partition(level), e.range_partition())
     tree = partition_to_tree(Q)
     m = len(Q)
+    P, sigma = pullback_partition(e, Q)  # once: e and Q are fixed
+    moved_tree = partition_to_tree(P)
 
     def deviation(ops: Dict[int, np.ndarray]) -> float:
         plain = treestate.pair_vacuum_expectation_batch(tree, V, ops)
-        moved_tree, moved_ops = pulled_back(e, Q, ops)
+        moved_ops = {i: ops[q] for i, q in enumerate(sigma) if q in ops}
         moved = treestate.pair_vacuum_expectation_batch(moved_tree, V, moved_ops)
         return float(np.max(np.abs(plain - moved)))
 

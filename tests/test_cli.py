@@ -240,6 +240,8 @@ def test_domain_error_exit_code(capsys, tmp_path):
                                          "state": state}))
         cases.append((corr + ["--request", str(bad_state)], message))
         cases.append((["thompson", "reduce", json.dumps(state)], message))
+    cases += [(["thompson", "reduce", '{"word":"A"}', "extra"], "one state document"),
+              (["thompson", "apply", "A"], "at least one point")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1

@@ -319,26 +319,33 @@ def test_smeared_indicator_reproduces_discretised_field(qutrit):
 
 
 def test_smeared_random_pieces_term_oracle():
-    model = swap_model(13, d=2)
-    S = model.spectral
-    lam = model.eigenvalues
+    irregular = common_refinement(  # levels 3, 3, 2, 2, 4, 4, 3
+        minimal_supporting_partition(["0", "1/8", "3/4", "13/16"]), regular_partition(1))
+    # generic_model has no SWAP symmetry, so its left and right lone-child
+    # maps differ and a swap of the two changes the value
+    cases = [(swap_model(13, d=2), regular_partition(3)), (generic_model(5), irregular)]
     rng = np.random.default_rng(3)
-    P = regular_partition(3)
-    pieces = [(iv, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-              for iv in regular_partition(3)]
-    got = smeared_expectation(pieces, P, model)
-    # term-by-term oracle: sum of single weighted insertions
-    want = 0.0
-    for k, iv in enumerate(P):
-        M = pieces[k][1]
-        for a in range(4):
-            if model.zero_mask()[a]:
-                continue
-            fbar = np.trace(S.left_ops[a].conj().T @ M) / 2 * float(iv.width)
-            op = fbar * ipow(lam[a], -iv.level) * S.right_ops[a]
-            want += treestate.vacuum_expectation(
-                treestate.LabelledTree(partition_to_tree(P), {k: op}), model.isometry)
-    assert abs(got - want) < 1e-10
+    for model, P in cases:
+        S = model.spectral
+        lam = model.eigenvalues
+        pieces = [(iv, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+                  for iv in regular_partition(3)]
+        got = smeared_expectation(pieces, P, model)
+        # term-by-term oracle: sum of single weighted insertions, each piece
+        # weighted by its overlap with the interval
+        want = 0.0
+        for k, iv in enumerate(P):
+            overlaps = [(min(iv.right, p.right) - max(iv.left, p.left), M)
+                        for p, M in pieces]
+            for a in range(4):
+                if model.zero_mask()[a]:
+                    continue
+                fbar = sum(np.trace(S.left_ops[a].conj().T @ M) / 2 * float(w)
+                           for w, M in overlaps if w > 0)
+                op = fbar * ipow(lam[a], -iv.level) * S.right_ops[a]
+                want += treestate.vacuum_expectation(
+                    treestate.LabelledTree(partition_to_tree(P), {k: op}), model.isometry)
+        assert abs(got - want) < 1e-10
 
 
 def test_smeared_error_paths(qutrit):

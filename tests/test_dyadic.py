@@ -9,7 +9,7 @@ from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
                               DyadicRational, StdInterval, TRIVIAL_PARTITION,
                               as_point, caret, coarse_grain_distance,
                               common_prefix_length, common_refinement,
-                              containing_interval, is_refinement,
+                              containing_interval, fold_tree, is_refinement,
                               minimal_supporting_partition, partition_to_tree,
                               regular_partition, regular_tree, supports,
                               tree_metric, tree_metric_formula,
@@ -339,6 +339,18 @@ def test_property_tree_partition_round_trip(P):
     assert t.leaf_count() == len(P)
     assert tree_to_partition(t) == P
     assert partition_to_tree(tree_to_partition(t)) == t
+
+
+@PROPS
+@given(partitions())
+def test_property_fold_tree_slot_order_and_document_shape(P):
+    assert fold_tree(P, lambda k: (k,), lambda l, r: l + r) == tuple(range(len(P)))
+
+    def listed(obj):
+        return obj if obj == 0 else [listed(obj[0]), listed(obj[1])]
+
+    assert (fold_tree(P, lambda k: 0, lambda l, r: [l, r])
+            == listed(partition_to_tree(P).to_nested()))
 
 
 @PROPS

@@ -64,7 +64,7 @@ def test_identity_pair_reduces_to_leaf():
     t = caret(caret(LEAF, LEAF), LEAF)
     e = ThompsonElement.from_trees(t, t, 0)
     r = reduce(e)
-    assert r.n_leaves == 1 and r.domain_tree == LEAF
+    assert r.n_leaves == 1 and partition_to_tree(r.domain_partition()) == LEAF
 
 
 def test_worked_fraction_reduction():
@@ -73,8 +73,8 @@ def test_worked_fraction_reduction():
     t = caret(LEAF, caret(caret(LEAF, LEAF), LEAF))
     e = ThompsonElement.from_trees(s, t, 0)
     r = reduce(e)
-    assert r.domain_tree == caret(caret(LEAF, LEAF), LEAF)
-    assert r.range_tree == caret(LEAF, caret(LEAF, LEAF))
+    assert partition_to_tree(r.domain_partition()) == caret(caret(LEAF, LEAF), LEAF)
+    assert partition_to_tree(r.range_partition()) == caret(LEAF, caret(LEAF, LEAF))
     assert r.rotation == 0
 
 
@@ -314,7 +314,8 @@ def test_property_trees_and_documents_round_trip(e, cuts):
     u = e
     for k in cuts:
         u = split(u, k % u.n_leaves)
-    assert ThompsonElement.from_trees(u.domain_tree, u.range_tree, u.rotation) == u
+    assert ThompsonElement.from_trees(partition_to_tree(u.domain_partition()),
+                                      partition_to_tree(u.range_partition()), u.rotation) == u
     doc = json.loads(json.dumps(element_to_document(u)))
     assert element_from_document(doc) == reduce(u) == e
 
