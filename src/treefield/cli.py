@@ -193,9 +193,9 @@ def cmd_thompson(args) -> int:
     if args.action == "apply":
         if len(args.args) < 2:
             raise ValueError("thompson apply takes a word and at least one point")
-        e = th.parse_word(args.args[0])
+        f = th.to_piecewise(th.parse_word(args.args[0]))
         for point in args.args[1:]:
-            y = th.to_piecewise(e)(as_point(point).value)
+            y = f(as_point(point).value)
             print(f"{point} -> {y.numerator}/{y.denominator}" if y.denominator > 1
                   else f"{point} -> {y.numerator}")
         return 0

@@ -275,22 +275,28 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
     live = ~model.zero_mask()
     ev = model.evaluation
 
-    def leaf(k: int) -> np.ndarray:
-        # f-bar coefficients of this interval, weighted per label
-        iv = P[k]
-        fbar = np.zeros(S.n, dtype=complex)
-        for piece_iv, M in cover:
-            lo = max(iv.left, piece_iv.left)
-            hi = min(iv.right, piece_iv.right)
-            if hi > lo:
-                fbar += float(hi - lo) * S.expand(M)
+    # one merge walk over P and the sorted pieces: expanded[j] is the first
+    # piece reaching into iv, and it stays current while it reaches past iv
+    expanded = [(piece_iv, S.expand(M)) for piece_iv, M in cover]
+    leaves: List[np.ndarray] = []
+    j = 0
+    for iv in P:
+        fbar = np.zeros(S.n, dtype=complex)  # f-bar coefficients of iv
+        while True:
+            piece_iv, c = expanded[j]
+            fbar += float(min(iv.right, piece_iv.right) - max(iv.left, piece_iv.left)) * c
+            if piece_iv.right > iv.right:
+                break
+            j += 1
+            if piece_iv.right == iv.right:
+                break
         vec = np.array([fbar[a] * ipow(lam[a], -iv.level) if live[a] else 0.0
                         for a in range(S.n)], dtype=complex)
-        return ev.basis @ vec
+        leaves.append(ev.basis @ vec)
 
     # phi_P(f) is a sum of single-insertion terms: by linearity a caret lifts
     # its left terms' sum by the left lone-child map, its right terms' by the right
-    root = fold_tree(P, leaf, lambda lv, rv: lv @ ev.left + rv @ ev.right)
+    root = fold_tree(P, leaves.__getitem__, lambda lv, rv: lv @ ev.left + rv @ ev.right)
     return complex(root @ ev.closing)
 
 

@@ -8,12 +8,13 @@ building it, run on those integers.  A leaf pair (a, l, b, m) maps the
 interval [a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk
 over two pair lists, `_compose_pairs`, composes Thompson elements, pulls a
 partition back through one, and gives the common refinement of two
-partitions as the domain of id_P o id_Q, all on integers.  `Fraction`
-remains in the point-facing operations (`index_of`, `is_refinement`, the
-supporting-partition descent) and at the API edges (`StdInterval.left`,
-`.right`, `.width`, `CirclePoint`, `DyadicRational.as_fraction`).  No floats
-enter any decision.  Intervals are half-open [a, b) throughout, including
-the last one.
+partitions as the domain of id_P o id_Q, all on integers.  The
+supporting-partition descent reads each point once as its integer pair
+(p, q) and compares by cross-multiplication.  `Fraction` remains in the
+other point-facing operations (`index_of`, `is_refinement`) and at the API
+edges (`StdInterval.left`, `.right`, `.width`, `CirclePoint`,
+`DyadicRational.as_fraction`).  No floats enter any decision.  Intervals
+are half-open [a, b) throughout, including the last one.
 """
 
 from __future__ import annotations
@@ -540,27 +541,36 @@ def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition
 
     Construction descends from [0,1), splitting every interval that still
     holds two or more points; the intervals that hold at most one are
-    appended left to right.
+    appended left to right.  The descent runs on each point's integer pair
+    (p, q): p/q lies left of the midpoint (2a+1)/2^(l+1) of [a/2^l,
+    (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an interval's points are an
+    index range of the sorted tuple, split by bisection at that test.
     """
-    pts = [as_point(p).value for p in points]
+    pts = [as_point(p).value.as_integer_ratio() for p in points]
     if not pts:
         raise ValueError("empty tuple of points")
-    for a, b in zip(pts, pts[1:]):
-        if a == b:
-            raise ValueError("coincident insertions")
-        if a > b:
-            raise ValueError("unordered tuple")
+    for (p, q), (r, s) in zip(pts, pts[1:]):
+        if p * s >= r * q:
+            raise ValueError("coincident insertions" if p * s == r * q else "unordered tuple")
     out: List[StdInterval] = []
-
-    def build(a: int, l: int, mine: Sequence[Fraction]) -> None:
-        if len(mine) <= 1:
+    stack = [(0, 0, 0, len(pts))]  # (a, l, lo, hi): pts[lo:hi] lie in [a/2^l, (a+1)/2^l)
+    while stack:
+        a, l, lo, hi = stack.pop()
+        if hi - lo <= 1:
             out.append(StdInterval(a, l))
-            return
+            continue
         if l >= MAX_LEVEL:
             raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
-        mid = Fraction(2 * a + 1, 1 << (l + 1))
-        build(2 * a, l + 1, [p for p in mine if p < mid])
-        build(2 * a + 1, l + 1, [p for p in mine if p >= mid])
-
-    build(0, 0, pts)
+        l += 1
+        m = 2 * a + 1
+        k, top = lo, hi  # first point at or right of the midpoint m/2^l
+        while k < top:
+            mid = (k + top) // 2
+            p, q = pts[mid]
+            if p << l < m * q:
+                k = mid + 1
+            else:
+                top = mid
+        stack.append((m, l, k, hi))
+        stack.append((2 * a, l, lo, k))
     return DyadicPartition(tuple(out))

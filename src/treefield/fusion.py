@@ -124,7 +124,7 @@ def fusion_from_document(doc) -> FusionTensor:
     if not (isinstance(doc, dict) and "labels" in doc and "coefficients" in doc):
         raise ValueError("fusion document needs 'labels' and 'coefficients'")
     tol = doc.get("tol", TOL_FUSION)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ValueError("fusion 'tol' must be a number")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol < np.inf:
+        raise ValueError("fusion 'tol' must be a finite number >= 0")
     return FusionTensor(string_tuple(doc["labels"], "fusion 'labels'"),
                         complex_array_from_lists(doc["coefficients"]), tol=float(tol))

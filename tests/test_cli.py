@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -516,21 +517,62 @@ STATES = st.one_of(
     st.fixed_dictionaries({"domain": TREES, "range": TREES},
                           optional={"rotation": st.one_of(st.integers(-3, 3), JUNK)}),
     st.just("vacuum"), JUNK)
+
+
+def point_lists(n):
+    """n points: drawn freely, or distinct and increasing so that a request
+    of n points gets past the position checks."""
+    ordered = st.sampled_from([8, 12, 255, 256]).flatmap(
+        lambda q: st.lists(st.integers(0, q - 1), min_size=n, max_size=n, unique=True)
+        .map(lambda ks: [f"{k}/{q}" for k in sorted(ks)]))
+    return st.one_of(st.lists(POINTS, min_size=n, max_size=n), ordered)
+
+
+def label_lists(n):
+    """n labels: drawn freely, or all qutrit labels so that n of them pass."""
+    valid = st.sampled_from(["1", "δ¹", "d2", "β³", "a1", "α²"])
+    return st.one_of(st.lists(LABELS, min_size=n, max_size=n),
+                     st.lists(valid, min_size=n, max_size=n))
+
+
 REQUESTS = st.one_of(
-    st.fixed_dictionaries({"positions": st.lists(POINTS, min_size=2, max_size=2),
-                           "labels": st.lists(LABELS, min_size=2, max_size=2)},
-                          optional={"state": STATES}),
+    st.integers(2, 8).flatmap(lambda n: st.fixed_dictionaries(
+        {"positions": point_lists(n), "labels": label_lists(n)},
+        optional={"state": STATES})),
     st.fixed_dictionaries(
         {}, optional={"positions": st.one_of(st.lists(st.one_of(POINTS, JUNK), max_size=3), JUNK),
                       "labels": st.one_of(st.lists(st.one_of(LABELS, JUNK), max_size=3), JUNK),
                       "state": STATES}))
 MODEL_KEYS = ["name", "kind", "labels", "aliases", "d", "isometry", "channel",
               "fusion", "moments", "pinned_basis"]
+SUBDOCUMENT_KEYS = {"fusion": ["labels", "coefficients", "tol"],  # fibonacci
+                    "pinned_basis": ["eigenvalues", "mus"]}      # qutrit
+
+
+def zeroed(value):
+    return [zeroed(v) for v in value] if isinstance(value, list) else 0.0
 
 
 @st.composite
 def model_documents(draw):
     doc = to_document(preset(draw(st.sampled_from(["qutrit", "fibonacci"]))))
+    for name, keys in SUBDOCUMENT_KEYS.items():
+        sub = doc.get(name)
+        if sub is None:
+            continue
+        for key in draw(st.lists(st.sampled_from(keys), max_size=2)):
+            value = sub.get(key)
+            how = draw(st.sampled_from(["pop", "junk", "short", "entry", "zeros"]))
+            if how == "pop":
+                sub.pop(key, None)
+            elif how == "junk" or not (isinstance(value, list) and value):
+                sub[key] = draw(st.one_of(JUNK, st.sampled_from([0, -1.0, 1e300, math.nan])))
+            elif how == "short":
+                sub[key] = value[:-1]
+            elif how == "entry":  # one entry mistyped
+                sub[key] = [draw(JUNK)] + value[1:]
+            else:  # right shape, all zero: zero eigenvalues, singular matrix units
+                sub[key] = zeroed(value)
     for key in draw(st.lists(st.sampled_from(MODEL_KEYS), max_size=2)):
         if draw(st.booleans()):
             doc.pop(key, None)
@@ -559,9 +601,8 @@ def argvs(draw, directory):
             path.write_text(json.dumps(doc))
             return ["--request", str(path)]
         n = draw(st.integers(1, most))
-        out = [arg for p in draw(st.lists(POINTS, min_size=n, max_size=n))
-               for arg in ("--at", p)]
-        out += ["--fields", *draw(st.lists(LABELS, min_size=n, max_size=n))]
+        out = [arg for p in draw(point_lists(n)) for arg in ("--at", p)]
+        out += ["--fields", *draw(label_lists(n))]
         if draw(st.booleans()):
             out += ["--state", " ".join(draw(WORDS))]
         return out
@@ -586,7 +627,7 @@ def argvs(draw, directory):
     if cmd == "ope":
         argv += [draw(LABELS), draw(LABELS)]
     elif cmd in ("correlator", "oracle-diff"):
-        argv += request(3 if cmd == "correlator" else 2)
+        argv += request(8 if cmd == "correlator" else 2)
     elif cmd == "staircase":
         argv += ["--x", draw(POINTS), "--alpha", draw(LABELS), "--beta", draw(LABELS),
                  "--depth", size(5), "--grid", size(5)]

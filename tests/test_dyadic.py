@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
-                              DyadicRational, StdInterval, TRIVIAL_PARTITION,
+from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
+                              DyadicPartition, DyadicRational, StdInterval,
+                              TRIVIAL_PARTITION,
                               as_point, caret, coarse_grain_distance,
                               common_prefix_length, common_refinement,
                               containing_interval, fold_tree, is_refinement,
@@ -387,6 +388,72 @@ def test_property_minimal_supporting_partition(points):
         if a.level == b.level and a.left_numerator % 2 == 0 \
                 and b.left_numerator == a.left_numerator + 1:
             assert sum(a.left <= x < b.right for x in pts) >= 2
+
+
+def ref_minimal_supporting_partition(points):
+    """The Fraction descent: a Fraction midpoint test at every node and a new
+    list of points at every split."""
+    pts = [as_point(p).value for p in points]
+    if not pts:
+        raise ValueError("empty tuple of points")
+    for a, b in zip(pts, pts[1:]):
+        if a == b:
+            raise ValueError("coincident insertions")
+        if a > b:
+            raise ValueError("unordered tuple")
+    out = []
+
+    def build(a, l, mine):
+        if len(mine) <= 1:
+            out.append(StdInterval(a, l))
+            return
+        if l >= MAX_LEVEL:
+            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
+        mid = Fraction(2 * a + 1, 1 << (l + 1))
+        build(2 * a, l + 1, [p for p in mine if p < mid])
+        build(2 * a + 1, l + 1, [p for p in mine if p >= mid])
+
+    build(0, 0, pts)
+    return DyadicPartition(tuple(out))
+
+
+def outcome(msp, points):
+    try:
+        return msp(points)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# dyadic denominators up to level 70 (past MAX_LEVEL), odd primes, large composites
+DENOMINATORS = st.one_of(
+    st.builds(lambda l: 1 << l, st.integers(0, 70)),
+    st.sampled_from([3, 5, 7, 11, 8191, 65537, 2 ** 61 - 1, 2 ** 89 - 1]),
+    st.sampled_from([3 ** 45, 15 ** 20, 3 * (2 ** 64 - 1), 10 ** 25]),
+    st.integers(2, 1 << 80))
+
+
+@st.composite
+def circle_rationals(draw):
+    q = draw(DENOMINATORS)
+    return Fraction(draw(st.integers(0, q - 1)), q)
+
+
+@st.composite
+def neighbour_tuples(draw):
+    """x and x + 2^-k for k = 63, 64, 65, among a few other points: the
+    pair splits at, or just past, MAX_LEVEL."""
+    d = Fraction(1, 1 << draw(st.sampled_from([63, 64, 65])))
+    x = draw(circle_rationals().filter(lambda x: x + d < 1))
+    return sorted({x, x + d, *draw(st.lists(circle_rationals(), max_size=4))})
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(circle_rationals(), max_size=12).map(lambda xs: sorted(set(xs))),
+                 neighbour_tuples(),
+                 st.lists(circle_rationals(), max_size=4)))  # also unordered or coincident
+def test_property_integer_descent_matches_fraction_descent(points):
+    assert outcome(minimal_supporting_partition, points) == \
+        outcome(ref_minimal_supporting_partition, points)
 
 
 @PROPS

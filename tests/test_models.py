@@ -148,6 +148,8 @@ def test_load_model_diagnostics():
     ("qutrit", "pinned_basis", [], "'pinned_basis' needs"),
     ("qutrit", "pinned_basis", {"eigenvalues": [[1.0, 0.0]], "mus": [[1.0, 0.0]]},
      "pinned basis shape"),
+    *[("fibonacci", "fusion", {**to_document(preset("fibonacci"))["fusion"], "tol": tol},
+       "fusion 'tol' must be a finite number >= 0") for tol in (math.nan, math.inf, -1.0)],
 ])
 def test_mistyped_document_fields(preset_name, key, value, message):
     # refused with one ValueError naming the field; most of these used to end
