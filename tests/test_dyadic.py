@@ -302,7 +302,8 @@ def test_circle_point_digits():
 
 # ---------------------------------------------------------------------------
 # properties of the integer geometry against Fraction references; sizes stay
-# small (<= 64 intervals, level <= 12, <= 16 points)
+# small (<= 64 intervals, level <= 12, <= 16 points; the supporting-partition
+# descent goes to level 70 to reach past MAX_LEVEL)
 
 PROPS = settings(max_examples=60)  # the rest comes from conftest's profile
 
