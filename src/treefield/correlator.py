@@ -26,10 +26,10 @@ import numpy as np
 
 from . import thompson as th
 from .dyadic import (CirclePoint, DyadicPartition, DyadicRational, PointLike,
-                     StdInterval, as_point, check_regular_level,
-                     common_prefix_length, common_refinement, fold_tree,
-                     is_refinement, minimal_supporting_partition,
-                     regular_partition)
+                     StdInterval, as_point, check_point_order,
+                     check_regular_level, common_prefix_length,
+                     common_refinement, fold_tree, is_refinement,
+                     minimal_supporting_partition, regular_partition)
 from .models import ModelSpec
 from .spectral import scaling_dimension
 
@@ -69,12 +69,7 @@ class CorrelatorRequest:
     state: Optional[th.ThompsonElement] = None  # None = vacuum
 
     def __post_init__(self):
-        pts = [ins.position.value for ins in self.insertions]
-        for a, b in zip(pts, pts[1:]):
-            if a == b:
-                raise ValueError("coincident insertions")
-            if a > b:
-                raise ValueError("unordered tuple")
+        check_point_order([ins.position.value.as_integer_ratio() for ins in self.insertions])
 
     @staticmethod
     def make(positions: Sequence[PointLike], labels: Sequence, model: ModelSpec,

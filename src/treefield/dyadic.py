@@ -9,10 +9,10 @@ interval [a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk
 over two pair lists, `_compose_pairs`, composes Thompson elements, pulls a
 partition back through one, and gives the common refinement of two
 partitions as the domain of id_P o id_Q, all on integers.  The
-supporting-partition descent reads each point once as its integer pair
-(p, q) and compares by cross-multiplication.  `Fraction` remains in the
-other point-facing operations (`index_of`, `is_refinement`) and at the API
-edges (`StdInterval.left`, `.right`, `.width`, `CirclePoint`,
+supporting-partition descent, the point-order check and `index_of` read
+each point once as its integer pair (p, q) and compare by
+cross-multiplication.  `Fraction` remains only in `is_refinement` and at
+the API edges (`StdInterval.left`, `.right`, `.width`, `CirclePoint`,
 `DyadicRational.as_fraction`).  No floats enter any decision.  Intervals
 are half-open [a, b) throughout, including the last one.
 """
@@ -102,10 +102,12 @@ class CirclePoint:
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
-        if not 0 <= v < 1:
+        v = self.value
+        if not isinstance(v, Fraction):
+            v = Fraction(v)
+            object.__setattr__(self, "value", v)
+        if not 0 <= v.numerator < v.denominator:
             raise ValueError(f"{v} is not in [0,1)")
-        object.__setattr__(self, "value", v)
 
     @staticmethod
     def parse(text: str) -> "CirclePoint":
@@ -379,11 +381,18 @@ class DyadicPartition:
         return max(iv.level for iv in self.intervals)
 
     def index_of(self, x: PointLike) -> int:
+        """Slot of the interval holding x = p/q, by bisection on integers:
+        [a/2^l, ...) starts at or before p/q iff a q <= p 2^l."""
         v = _as_fraction(x)
-        lo, hi = 0, len(self.intervals) - 1
+        p, q = v.as_integer_ratio()
+        if not 0 <= p < q:
+            raise ValueError(f"{v} is not in [0,1)")
+        ivs = self.intervals
+        lo, hi = 0, len(ivs) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if self.intervals[mid].left <= v:
+            iv = ivs[mid]
+            if iv.left_numerator * q <= p << iv.level:
                 lo = mid
             else:
                 hi = mid - 1
@@ -531,6 +540,14 @@ def common_refinement(P: DyadicPartition, Q: DyadicPartition) -> DyadicPartition
 # supporting partitions
 
 
+def check_point_order(pts: Sequence[Tuple[int, int]]) -> None:
+    """Raise unless the points p/q, given as integer pairs (p, q) with q > 0,
+    strictly increase; neighbours compare by cross-multiplication."""
+    for (p, q), (r, s) in zip(pts, pts[1:]):
+        if p * s >= r * q:
+            raise ValueError("coincident insertions" if p * s == r * q else "unordered tuple")
+
+
 def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
     idx = [P.index_of(p) for p in points]
     return len(set(idx)) == len(idx)
@@ -549,9 +566,7 @@ def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition
     pts = [as_point(p).value.as_integer_ratio() for p in points]
     if not pts:
         raise ValueError("empty tuple of points")
-    for (p, q), (r, s) in zip(pts, pts[1:]):
-        if p * s >= r * q:
-            raise ValueError("coincident insertions" if p * s == r * q else "unordered tuple")
+    check_point_order(pts)
     out: List[StdInterval] = []
     stack = [(0, 0, 0, len(pts))]  # (a, l, lo, hi): pts[lo:hi] lie in [a/2^l, (a+1)/2^l)
     while stack:

@@ -382,6 +382,35 @@ def test_thompson_golden_stdout(capsys, action, arg, want):
 # correlator-side stdout, stderr and exit codes recorded before the common
 # refinement moved onto the integer merge walk
 
+# many-point requests with dyadic and odd-prime denominators, their outputs
+# recorded before `index_of` moved onto integers; a dict in an argv list
+# below stands for a request file holding it
+REQUEST_16 = {
+    "positions": ["6/257", "22/101", "3/13", "269/1024", "5/13", "109/256", "455/1024",
+        "237/512", "489/1024", "137/256", "2230/4093", "8/13", "669/1024", "191/256",
+        "10/13", "99/101"],
+    "labels": ["δ²", "δ¹", "δ¹", "δ²", "δ²", "δ¹", "δ¹", "δ¹", "δ²", "δ²", "δ²", "δ²",
+        "δ¹", "δ²", "δ²", "δ²"],
+}
+REQUEST_32 = {
+    "positions": ["9/128", "9/101", "1/11", "101/1024", "430/4093", "33/257", "1/7",
+        "153/1024", "93/512", "2/11", "187/1024", "55/256", "2/7", "295/1024", "1/3",
+        "46/101", "577/1024", "591/1024", "2/3", "8/11", "188/257", "189/256",
+        "775/1024", "10/13", "9/11", "83/101", "423/512", "433/512", "7/8", "909/1024",
+        "935/1024", "12/13"],
+    "labels": ["δ²", "δ¹", "δ²", "δ²", "δ¹", "δ¹", "δ¹", "δ¹", "δ¹", "δ¹", "δ²", "δ²",
+        "δ¹", "δ¹", "δ²", "δ¹", "β²", "β²", "β¹", "β¹", "α³", "α³", "β²", "β²", "α¹",
+        "α¹", "α²", "α²", "α²", "α²", "α²", "α²"],
+}
+REQUEST_16_STATE = {
+    "positions": ["1/7", "40/257", "44/257", "91/512", "49/256", "1/3", "5/11",
+        "1998/4093", "251/512", "407/512", "433/512", "903/1024", "913/1024",
+        "915/1024", "12/13", "242/257"],
+    "labels": ["β³", "β³", "α²", "α²", "β³", "β³", "β²", "β²", "β³", "β³", "α²", "α²",
+        "α¹", "α¹", "β³", "β³"],
+    "state": {"word": "C B-1 A S"},
+}
+
 GOLDEN_CORRELATOR = [
     (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/3', '--at', '5/8', '--at', '7/8', '--fields', 'δ¹', 'δ¹', 'δ²', 'δ²'],
      0, 'value: +42.6666666667+0j\nminimal supporting partition: {0/4, 1/4, 2/4, 3/4}\n',
@@ -437,13 +466,27 @@ GOLDEN_CORRELATOR = [
     (['correlator', '--model', 'qutrit', '--at', '0', '--at', '1/1180591620717411303424', '--fields', 'δ¹', 'δ¹'],
      1, '',
      'error: maximum partition level 64 exceeded\n'),
+    (['correlator', '--model', 'qutrit', '--request', REQUEST_16, '--json'],
+     0, '{"minimal_supporting_partition": ["0/8", "2/16", "6/32", "7/32", "2/8", "12/32", "13/32", "28/64", "29/64", "15/32", "16/32", "68/128", "69/128", "35/64", "9/16", "10/16", "11/16", "6/8", "7/8"], "value": [6.148914691236492e+18, 0.0]}\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--request', REQUEST_32, '--json'],
+     0, '{"minimal_supporting_partition": ["0/16", "4/64", "10/128", "22/256", "23/256", "12/128", "13/128", "7/64", "8/64", "18/128", "19/128", "10/64", "22/128", "92/512", "1488/8192", "1489/8192", "745/4096", "373/2048", "187/1024", "47/256", "3/16", "8/32", "72/256", "146/512", "147/512", "37/128", "19/64", "5/16", "3/8", "8/16", "72/128", "73/128", "37/64", "19/32", "10/16", "22/32", "92/128", "186/256", "187/256", "47/64", "48/64", "49/64", "25/32", "104/128", "210/256", "211/256", "53/64", "27/32", "112/128", "113/128", "57/64", "58/64", "59/64", "15/16"], "value": [-1.3469614140517103e+58, 0.0]}\n',
+     ''),
+    (['correlator', '--model', 'qutrit', '--request', REQUEST_16_STATE, '--json'],
+     0, '{"minimal_supporting_partition": ["0/8", "8/64", "18/128", "19/128", "10/64", "11/64", "3/16", "2/8", "6/16", "14/32", "30/64", "124/256", "125/256", "63/128", "2/4", "12/16", "13/16", "56/64", "456/512", "457/512", "229/256", "115/128", "29/32", "15/16"], "value": [2.518595457530464e+22, 0.0]}\n',
+     ''),
 ]
 
 
 @pytest.mark.parametrize("argv,code,out,err", GOLDEN_CORRELATOR,
                          ids=[f"{argv[0]}-{i}" for i, (argv, *_) in
                               enumerate(GOLDEN_CORRELATOR)])
-def test_correlator_golden_stdout(capsys, argv, code, out, err):
+def test_correlator_golden_stdout(capsys, tmp_path, argv, code, out, err):
+    request = tmp_path / "request.json"
+    for arg in argv:
+        if isinstance(arg, dict):
+            request.write_text(json.dumps(arg), encoding="utf-8")
+    argv = [str(request) if isinstance(arg, dict) else arg for arg in argv]
     assert run(capsys, *argv) == (code, out, err)
 
 

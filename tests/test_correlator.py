@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefield import thompson as th
 from treefield import treestate
@@ -13,9 +15,9 @@ from treefield.correlator import (CorrelatorRequest, FieldInsertion, ipow,
                                   transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed, two_point_terms)
-from treefield.dyadic import (CirclePoint, StdInterval, common_refinement,
-                              minimal_supporting_partition, partition_to_tree,
-                              regular_partition)
+from treefield.dyadic import (CirclePoint, StdInterval, as_point,
+                              common_refinement, minimal_supporting_partition,
+                              partition_to_tree, regular_partition)
 from treefield.models import ModelSpec, check_swap, load_model, preset
 from treefield.spectral import Isometry3Box
 
@@ -229,6 +231,83 @@ def test_request_validation(qutrit):
         CorrelatorRequest.make([frac("1/4"), frac("1/4")], [1, 2], qutrit)
     with pytest.raises(ValueError, match="unordered"):
         CorrelatorRequest.make([frac("1/2"), frac("1/4")], [1, 2], qutrit)
+    halves = ["1/2", "2/4", "0.1", Fraction(1, 2)]  # one value, four spellings
+    for x in halves:
+        for y in halves:
+            with pytest.raises(ValueError, match="^coincident insertions$"):
+                CorrelatorRequest.make([x, y], ["δ¹", "δ¹"], qutrit)
+        with pytest.raises(ValueError, match="^unordered tuple$"):
+            CorrelatorRequest.make([x, "0.01"], ["δ¹", "δ¹"], qutrit)
+        CorrelatorRequest.make(["0.01", x], ["δ¹", "δ¹"], qutrit)
+
+
+RATIONALS = st.builds(
+    lambda q, k: Fraction(k % q, q),
+    st.one_of(st.integers(1, 60), st.builds(lambda l: 1 << l, st.integers(0, 70)),
+              st.sampled_from([8191, 65537, 2 ** 61 - 1, 3 ** 45])),
+    st.integers(min_value=0))
+
+
+def spellings(v):
+    """The Fraction v, 'p/q', 'kp/kq', and for dyadic v its binary expansion
+    with trailing zeros."""
+    p, q = v.numerator, v.denominator
+    out = [st.just(v), st.just(f"{p}/{q}"),
+           st.integers(2, 9).map(lambda k: f"{k * p}/{k * q}")]
+    if q & (q - 1) == 0:
+        l = q.bit_length() - 1
+        digits = format(p, f"0{l}b") if l else ""
+        out.append(st.integers(0 if l else 1, 3).map(lambda z: "0." + digits + "0" * z))
+    return st.one_of(out)
+
+
+@st.composite
+def spelled_tuples(draw):
+    """Two or three points, each as likely to repeat its left neighbour's
+    value (in any spelling) as to be drawn afresh."""
+    values = [draw(RATIONALS)]
+    for _ in range(draw(st.integers(1, 2))):
+        values.append(values[-1] if draw(st.booleans()) else draw(RATIONALS))
+    return [draw(spellings(v)) for v in values]
+
+
+def fraction_order(points):
+    values = [as_point(x).value for x in points]
+    for a, b in zip(values, values[1:]):
+        if a == b:
+            return "coincident insertions"
+        if a > b:
+            return "unordered tuple"
+    return None
+
+
+@settings(max_examples=200)
+@given(spelled_tuples())
+def test_property_request_order_check_matches_fraction_order(qutrit, points):
+    try:
+        CorrelatorRequest.make(points, ["δ¹"] * len(points), qutrit)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == fraction_order(points)
+
+
+def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
+    # after parsing, the vacuum path runs on integer pairs: no interval
+    # endpoint is built as a Fraction
+    dyadic = {Fraction(k * 4093 % 65536, 65536) for k in range(1, 17)}
+    odd = {Fraction(k, 2 * k + 1) for k in range(1, 17)}
+    doc = {"positions": [str(x) for x in sorted(dyadic | odd)],
+           "labels": ["δ¹", "δ²"] * 16}
+    want = n_point(request_from_document(doc, qutrit), qutrit)
+    assert want != 0 and math.isfinite(abs(want))
+
+    def refuse(self):
+        raise AssertionError("interval endpoint built as a Fraction")
+
+    monkeypatch.setattr(StdInterval, "left", property(refuse))
+    monkeypatch.setattr(StdInterval, "right", property(refuse))
+    assert n_point(request_from_document(doc, qutrit), qutrit) == want
 
 
 def test_zero_weight_label_rejected():

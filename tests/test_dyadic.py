@@ -268,6 +268,28 @@ def test_containing_interval():
     assert containing_interval(Q, Fraction(2, 3)) == StdInterval(2, 2)
 
 
+def test_points_outside_the_circle_are_refused():
+    P = regular_partition(2)
+    with pytest.raises(ValueError, match=r"^3/2 is not in \[0,1\)$"):
+        P.index_of(Fraction(3, 2))
+    with pytest.raises(ValueError, match=r"^5/4 is not in \[0,1\)$"):
+        containing_interval(P, Fraction(5, 4))
+    with pytest.raises(ValueError, match=r"^-1/3 is not in \[0,1\)$"):
+        supports(P, [Fraction(-1, 3), Fraction(1, 8)])
+    with pytest.raises(ValueError, match=r"^1 is not in \[0,1\)$"):
+        P.index_of(1)
+    assert P.index_of(0) == 0 and P.index_of(Fraction(255, 256)) == 3
+
+
+def test_circle_point_range_check():
+    half = Fraction(1, 2)
+    assert CirclePoint(half).value is half  # a Fraction is kept, not rebuilt
+    assert CirclePoint(0).value == 0 and CirclePoint("2/4").value == half
+    for v, shown in ((1, "1"), (Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3")):
+        with pytest.raises(ValueError, match=rf"^{shown} is not in \[0,1\)$"):
+            CirclePoint(v)
+
+
 def test_point_parsing_round_trip():
     p = CirclePoint.parse("1/7")
     assert p.value == Fraction(1, 7)
@@ -302,7 +324,8 @@ def test_circle_point_digits():
 
 # ---------------------------------------------------------------------------
 # properties of the integer geometry against Fraction references; sizes stay
-# small (<= 64 intervals, level <= 12, <= 16 points; the supporting-partition
+# small (<= 64 intervals, level <= 12, <= 16 points; the index_of boundary
+# test deepens towards three points to level 64, and the supporting-partition
 # descent goes to level 70 to reach past MAX_LEVEL)
 
 PROPS = settings(max_examples=60)  # the rest comes from conftest's profile
@@ -375,6 +398,38 @@ def test_property_is_refinement_and_index_of(P, Q, xs):
     assert is_refinement(Q, P) == ref_is_refinement(Q, P)
     for x in xs:
         assert P.index_of(x) == ref_index_of(P, x)
+
+
+@st.composite
+def deep_partitions(draw):
+    """A random partition refined further towards up to three random points
+    of the level-64 grid, each to its own depth <= 64."""
+    P = draw(partitions())
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(0, (1 << 64) - 1))
+        depth = draw(st.integers(0, 64))
+        while True:
+            (i,) = [i for i, iv in enumerate(P)
+                    if t >> (64 - iv.level) == iv.left_numerator]
+            if P[i].level >= depth:
+                break
+            P = P.refine_at(i)
+    return P
+
+
+@PROPS
+@given(deep_partitions(), st.lists(st.integers(min_value=0), max_size=8))
+def test_property_index_of_at_interval_boundaries(P, picks):
+    # the left end of slot k lies in slot k, a point 2^-70 to its left in k - 1
+    tiny = Fraction(1, 1 << 70)
+    for k, iv in enumerate(P):
+        assert P.index_of(iv.left) == k
+        if k:
+            assert P.index_of(iv.left - tiny) == k - 1
+    for k in {p % len(P) for p in picks}:  # the linear reference is slow
+        assert ref_index_of(P, P[k].left) == k
+        if k:
+            assert ref_index_of(P, P[k].left - tiny) == k - 1
 
 
 @PROPS
