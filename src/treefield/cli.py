@@ -38,7 +38,7 @@ def cmd_spectrum(args) -> int:
     lam = model.eigenvalues
     rows = []
     for i, name in enumerate(model.labels):
-        if model.zero_mask()[i]:
+        if model.zero_weight[i]:
             h, phase = float("inf"), 0.0
         else:
             h, phase = scaling_dimension(lam[i])

@@ -12,7 +12,11 @@ ascent and the dense oracle in `treestate` are its references.
 
 Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
-logarithm branch.
+logarithm branch.  A request keeps its positions as `Fraction`s
+(`CirclePoint.value`), and the vacuum n-point reads them once as integer
+pairs: `dyadic.supporting_slots` gives the minimal supporting partition and
+each insertion's slot in it.  Slots are found by `DyadicPartition.index_of`
+bisection only on an explicit `partition=` and on the transformed path's Q.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ from .dyadic import (CirclePoint, DyadicPartition, DyadicRational, PointLike,
                      StdInterval, as_point, check_point_order,
                      check_regular_level, common_prefix_length,
                      common_refinement, fold_tree, is_refinement,
-                     minimal_supporting_partition, regular_partition)
+                     minimal_supporting_partition, regular_partition,
+                     supporting_slots)
 from .models import ModelSpec
 from .spectral import scaling_dimension
 
@@ -58,7 +63,7 @@ class FieldInsertion:
     @staticmethod
     def make(position: PointLike, label, model: ModelSpec) -> "FieldInsertion":
         idx = model.label_index(label)
-        if model.zero_mask()[idx]:
+        if model.zero_weight[idx]:
             raise ValueError("zero ascending weight excluded")
         return FieldInsertion(as_point(position), idx)
 
@@ -69,7 +74,15 @@ class CorrelatorRequest:
     state: Optional[th.ThompsonElement] = None  # None = vacuum
 
     def __post_init__(self):
-        check_point_order([ins.position.value.as_integer_ratio() for ins in self.insertions])
+        check_point_order(self.point_pairs())
+
+    def point_pairs(self) -> List[Tuple[int, int]]:
+        """The insertion points p/q as integer pairs (p, q), in order."""
+        out = []
+        for ins in self.insertions:
+            v = ins.position.value
+            out.append((v.numerator, v.denominator))
+        return out
 
     @staticmethod
     def make(positions: Sequence[PointLike], labels: Sequence, model: ModelSpec,
@@ -100,14 +113,17 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 
 
 def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
-                   model: ModelSpec) -> Dict[int, np.ndarray]:
+                   model: ModelSpec,
+                   slots: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
     """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
-    mu^a at that interval."""
+    mu^a at that interval.  Each insertion's slot is read from `slots` when
+    given (as `supporting_slots` returns them), else found by bisection."""
     lam = model.eigenvalues
     basis = model.evaluation.basis
+    if slots is None:
+        slots = [P.index_of(ins.position) for ins in insertions]
     vecs: Dict[int, np.ndarray] = {}
-    for ins in insertions:
-        k = P.index_of(ins.position)
+    for ins, k in zip(insertions, slots):
         if k in vecs:
             raise ValueError("partition does not support the insertions")
         vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
@@ -151,13 +167,12 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
         if partition is not None:
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
-    positions = [ins.position for ins in req.insertions]
-    P = minimal_supporting_partition(positions)
+    P, slots = supporting_slots(req.point_pairs())
     if partition is not None:
         if not is_refinement(P, partition):
             raise ValueError("partition does not refine the minimal supporting partition")
-        P = partition
-    return _evaluate(P, _label_vectors(P, req.insertions, model), model)
+        P, slots = partition, None
+    return _evaluate(P, _label_vectors(P, req.insertions, model, slots), model)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +195,8 @@ def two_point_terms(x: PointLike, y: PointLike, alpha, beta,
     a = model.label_index(alpha)
     b = model.label_index(beta)
     lam = model.eigenvalues
-    if model.zero_mask()[a] or model.zero_mask()[b]:
+    zero = model.zero_weight
+    if zero[a] or zero[b]:
         raise ValueError("zero ascending weight excluded")
     moments = model.vacuum_moments
     if moments is None:
@@ -231,15 +247,16 @@ def ope_terms(alpha, beta, model: ModelSpec) -> List[Tuple[int, complex, float]]
     a = model.label_index(alpha)
     b = model.label_index(beta)
     lam = model.eigenvalues
-    if model.zero_mask()[a] or model.zero_mask()[b]:
+    zero = model.zero_weight
+    if zero[a] or zero[b]:
         raise ValueError("zero ascending weight excluded")
     f = model.fusion
-    h = [scaling_dimension(lam[g])[0] if not model.zero_mask()[g] else math.inf
+    h = [math.inf if zero[g] else scaling_dimension(lam[g])[0]
          for g in range(len(model.labels))]
     out = []
     for g in range(len(model.labels)):
         coeff = complex(f.coefficients[a, b, g])
-        if abs(coeff) <= f.tol or model.zero_mask()[g]:
+        if abs(coeff) <= f.tol or zero[g]:
             continue
         out.append((g, coeff, h[g] - h[a] - h[b]))
     out.sort(key=lambda t: (t[2], t[0]))
@@ -267,7 +284,7 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
         raise ValueError("pieces must cover [0,1)")
 
     lam = model.eigenvalues
-    live = ~model.zero_mask()
+    zero = model.zero_weight
     ev = model.evaluation
 
     # one merge walk over P and the sorted pieces: expanded[j] is the first
@@ -285,7 +302,7 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
             j += 1
             if piece_iv.right == iv.right:
                 break
-        vec = np.array([fbar[a] * ipow(lam[a], -iv.level) if live[a] else 0.0
+        vec = np.array([0.0 if zero[a] else fbar[a] * ipow(lam[a], -iv.level)
                         for a in range(S.n)], dtype=complex)
         leaves.append(ev.basis @ vec)
 

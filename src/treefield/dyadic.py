@@ -11,8 +11,12 @@ partition back through one, and gives the common refinement of two
 partitions as the domain of id_P o id_Q, all on integers.  The
 supporting-partition descent, the point-order check and `index_of` read
 each point once as its integer pair (p, q) and compare by
-cross-multiplication.  `Fraction` remains only in `is_refinement` and at
-the API edges (`StdInterval.left`, `.right`, `.width`, `CirclePoint`,
+cross-multiplication; `supporting_slots`, the descent itself, returns the
+partition together with each point's slot, so a caller that has it needs
+no `index_of` bisection.  `CirclePoint.parse` reads an ASCII 'p/q' with two
+`int` calls and leaves every other spelling to `Fraction(str)`.
+`Fraction` remains only in `is_refinement` and at the API edges
+(`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`,
 `DyadicRational.as_fraction`).  No floats enter any decision.  Intervals
 are half-open [a, b) throughout, including the last one.
 """
@@ -111,12 +115,19 @@ class CirclePoint:
 
     @staticmethod
     def parse(text: str) -> "CirclePoint":
-        """Accepts 'p/q', an integer, or a binary expansion '0.b1b2...'."""
+        """Accepts 'p/q', a binary expansion '0.b1b2...', or any other
+        `Fraction` literal (an integer, a decimal such as '0.25' or '3e-2').
+        ASCII digit strings 'p/q' are split at the slash and read with two
+        `int` calls; every other spelling goes through `Fraction(str)`, which
+        gives the same values and errors."""
         s = text.strip()
         if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
             num = int(s[2:], 2)
             return CirclePoint(Fraction(num, 1 << (len(s) - 2)))
+        p, slash, q = s.partition("/")
         try:
+            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+                return CirclePoint(Fraction(int(p), int(q)))
             return CirclePoint(Fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"point {text!r} has a zero denominator") from None
@@ -384,7 +395,7 @@ class DyadicPartition:
         """Slot of the interval holding x = p/q, by bisection on integers:
         [a/2^l, ...) starts at or before p/q iff a q <= p 2^l."""
         v = _as_fraction(x)
-        p, q = v.as_integer_ratio()
+        p, q = v.numerator, v.denominator
         if not 0 <= p < q:
             raise ValueError(f"{v} is not in [0,1)")
         ivs = self.intervals
@@ -554,24 +565,36 @@ def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
 
 
 def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition:
-    """Unique coarsest partition with at most one of the given points per interval.
-
-    Construction descends from [0,1), splitting every interval that still
-    holds two or more points; the intervals that hold at most one are
-    appended left to right.  The descent runs on each point's integer pair
-    (p, q): p/q lies left of the midpoint (2a+1)/2^(l+1) of [a/2^l,
-    (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an interval's points are an
-    index range of the sorted tuple, split by bisection at that test.
-    """
-    pts = [as_point(p).value.as_integer_ratio() for p in points]
+    """Unique coarsest partition with at most one of the given points per
+    interval; see `supporting_slots` for the construction."""
+    pts = [(v.numerator, v.denominator) for v in (as_point(x).value for x in points)]
     if not pts:
         raise ValueError("empty tuple of points")
     check_point_order(pts)
+    return supporting_slots(pts)[0]
+
+
+def supporting_slots(pts: Sequence[Tuple[int, int]]) -> Tuple[DyadicPartition, List[int]]:
+    """The minimal supporting partition of the points p/q, given as integer
+    pairs (p, q) in strictly increasing order (`check_point_order`), and the
+    slot of each point in it.
+
+    Construction descends from [0,1), splitting every interval that still
+    holds two or more points; the intervals that hold at most one are
+    appended left to right, so a point's slot is the length of the output
+    when its interval is appended.  p/q lies left of the midpoint
+    (2a+1)/2^(l+1) of [a/2^l, (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an
+    interval's points are an index range of the sorted tuple, split by
+    bisection at that test.
+    """
     out: List[StdInterval] = []
+    slots: List[int] = []
     stack = [(0, 0, 0, len(pts))]  # (a, l, lo, hi): pts[lo:hi] lie in [a/2^l, (a+1)/2^l)
     while stack:
         a, l, lo, hi = stack.pop()
         if hi - lo <= 1:
+            if hi > lo:
+                slots.append(len(out))
             out.append(StdInterval(a, l))
             continue
         if l >= MAX_LEVEL:
@@ -588,4 +611,4 @@ def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition
                 top = mid
         stack.append((m, l, k, hi))
         stack.append((2 * a, l, lo, k))
-    return DyadicPartition(tuple(out))
+    return DyadicPartition(tuple(out)), slots

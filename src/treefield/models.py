@@ -117,6 +117,8 @@ class ModelSpec:
     # -- label handling ----------------------------------------------------
 
     def label_index(self, label) -> int:
+        if isinstance(label, bool):  # JSON true/false are not label indices
+            raise ValueError(f"unknown field label {label!r}")
         if isinstance(label, (int, np.integer)):
             idx = int(label)
             if not 0 <= idx < len(self.labels):
@@ -155,6 +157,11 @@ class ModelSpec:
         if self.kind == "isometry":
             return self.spectral.eigenvalues
         return abstract_eigenvalues(self.channel_matrix)
+
+    @cached_property
+    def zero_weight(self) -> Tuple[bool, ...]:
+        """Per label, whether its ascending weight |lambda| is zero (<= TOL_ZERO)."""
+        return tuple(bool(z) for z in np.abs(self.eigenvalues) <= TOL_ZERO)
 
     @cached_property
     def fusion(self) -> FusionTensor:
@@ -203,7 +210,7 @@ class ModelSpec:
         return self.isometry
 
     def zero_mask(self) -> np.ndarray:
-        return np.abs(self.eigenvalues) <= TOL_ZERO
+        return np.array(self.zero_weight)
 
 
 def preset(name: str) -> ModelSpec:

@@ -223,6 +223,10 @@ def test_domain_error_exit_code(capsys, tmp_path):
     no_labels.write_text(json.dumps({"positions": ["1/4", "1/2"]}))
     no_positions = tmp_path / "no_positions.json"
     no_positions.write_text(json.dumps({"labels": ["δ¹", "δ¹"]}))
+    # JSON booleans are not label indices 1 and 0
+    bool_labels = tmp_path / "bool_labels.json"
+    bool_labels.write_text(json.dumps({"positions": ["1/3", "2/3"],
+                                       "labels": [True, False]}))
     # state documents of the wrong type, as requests and as `thompson reduce`
     bad_states = [({"rotation": 1}, "state document needs"),
                   ({"word": 5}, "'word' must be a string"),
@@ -234,6 +238,7 @@ def test_domain_error_exit_code(capsys, tmp_path):
         (corr + ["--at", "1/0", "--fields", "δ¹"], "zero denominator"),
         (corr + ["--request", str(no_labels)], "list 'labels'"),
         (corr + ["--request", str(no_positions)], "list 'positions'"),
+        (corr + ["--request", str(bool_labels)], "unknown field label True"),
     ]
     for k, (state, message) in enumerate(bad_states):
         bad_state = tmp_path / f"bad_state_{k}.json"

@@ -15,9 +15,10 @@ from treefield.correlator import (CorrelatorRequest, FieldInsertion, ipow,
                                   transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed, two_point_terms)
-from treefield.dyadic import (CirclePoint, StdInterval, as_point,
-                              common_refinement, minimal_supporting_partition,
-                              partition_to_tree, regular_partition)
+from treefield.dyadic import (CirclePoint, DyadicPartition, StdInterval,
+                              as_point, common_refinement,
+                              minimal_supporting_partition, partition_to_tree,
+                              regular_partition)
 from treefield.models import ModelSpec, check_swap, load_model, preset
 from treefield.spectral import Isometry3Box
 
@@ -294,7 +295,8 @@ def test_property_request_order_check_matches_fraction_order(qutrit, points):
 
 def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     # after parsing, the vacuum path runs on integer pairs: no interval
-    # endpoint is built as a Fraction
+    # endpoint is built as a Fraction, the descent's slots are used without
+    # bisecting for them again, and no zero-weight mask is rebuilt
     dyadic = {Fraction(k * 4093 % 65536, 65536) for k in range(1, 17)}
     odd = {Fraction(k, 2 * k + 1) for k in range(1, 17)}
     doc = {"positions": [str(x) for x in sorted(dyadic | odd)],
@@ -305,9 +307,28 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     def refuse(self):
         raise AssertionError("interval endpoint built as a Fraction")
 
-    monkeypatch.setattr(StdInterval, "left", property(refuse))
-    monkeypatch.setattr(StdInterval, "right", property(refuse))
-    assert n_point(request_from_document(doc, qutrit), qutrit) == want
+    calls = {"index_of": 0, "zero_mask": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(DyadicPartition, "index_of",
+                        counted("index_of", DyadicPartition.index_of))
+    monkeypatch.setattr(ModelSpec, "zero_mask", counted("zero_mask", ModelSpec.zero_mask))
+    with monkeypatch.context() as m:
+        m.setattr(StdInterval, "left", property(refuse))
+        m.setattr(StdInterval, "right", property(refuse))
+        req = request_from_document(doc, qutrit)
+        assert n_point(req, qutrit) == want
+    assert calls == {"index_of": 0, "zero_mask": 0}
+
+    # an explicit partition finds the slots by bisection, to the same bits
+    msp = minimal_supporting_partition([ins.position for ins in req.insertions])
+    assert repr(n_point(req, qutrit, partition=msp)) == repr(want)
+    assert calls == {"index_of": 32, "zero_mask": 0}
 
 
 def test_zero_weight_label_rejected():

@@ -12,9 +12,9 @@ from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
                               common_prefix_length, common_refinement,
                               containing_interval, fold_tree, is_refinement,
                               minimal_supporting_partition, partition_to_tree,
-                              regular_partition, regular_tree, supports,
-                              tree_metric, tree_metric_formula,
-                              tree_to_partition, xor_sub)
+                              regular_partition, regular_tree,
+                              supporting_slots, supports, tree_metric,
+                              tree_metric_formula, tree_to_partition, xor_sub)
 
 
 def dy(a, l):
@@ -439,6 +439,7 @@ def test_property_minimal_supporting_partition(points):
     P = minimal_supporting_partition(pts)
     slots = [ref_index_of(P, x) for x in pts]
     assert len(set(slots)) == len(slots)  # supports the points
+    assert supporting_slots([(x.numerator, x.denominator) for x in pts]) == (P, slots)
     # coarsest: every caret whose children are both leaves holds two points
     for a, b in zip(P, P.intervals[1:]):
         if a.level == b.level and a.left_numerator % 2 == 0 \
@@ -510,6 +511,65 @@ def neighbour_tuples(draw):
 def test_property_integer_descent_matches_fraction_descent(points):
     assert outcome(minimal_supporting_partition, points) == \
         outcome(ref_minimal_supporting_partition, points)
+
+
+def ref_parse(text):
+    """`CirclePoint.parse` before the digit split, frozen: every spelling but
+    a binary expansion goes through `Fraction(str)`."""
+    s = text.strip()
+    if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
+        num = int(s[2:], 2)
+        return CirclePoint(Fraction(num, 1 << (len(s) - 2)))
+    try:
+        return CirclePoint(Fraction(s))
+    except ZeroDivisionError:
+        raise ValueError(f"point {text!r} has a zero denominator") from None
+
+
+def parse_outcome(parse, text):
+    try:
+        v = parse(text).value
+        return type(v), v
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+SPACES = st.sampled_from(["", " ", "\t", "\n ", "\u00a0", "\u2003"])
+
+
+@st.composite
+def ratio_spellings(draw):
+    """p/q or kp/kq, p up to q + 1 and q from 0, with leading zeros and
+    surrounding whitespace."""
+    q = draw(st.one_of(st.integers(0, 9), DENOMINATORS))
+    p = draw(st.integers(0, q + 1))
+    k = draw(st.sampled_from([1, 1, 3, 10 ** 20]))
+    zp, zq = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return f"{draw(SPACES)}{'0' * zp}{k * p}/{'0' * zq}{k * q}{draw(SPACES)}"
+
+
+@st.composite
+def long_spellings(draw):
+    """A numerator or denominator of around 4300 digits, the limit of int()
+    on a digit string."""
+    n = draw(st.integers(4295, 4305))
+    return draw(st.sampled_from([
+        "0" * n + "1/3", "1/" + "0" * n + "3", "1" + "0" * n + "/" + "1" * (n + 2),
+        "1" * n + "/" + "1" * n, "0." + "0" * n + "1", "0.5" + "0" * n]))
+
+
+OTHER_SPELLINGS = [
+    "1/0", "5/4", "3/3", "0/0", "+1/3", "-1/3", "-0/3", "+0.25", "1_0/32",
+    "1/3_2", "1__0/32", "١/٢", "²/4", "1/²", "٣/8", "0.25", "3e-2", "3E-2", ".5",
+    "0.1", "0.10", "0.12", "1e-1", "2.5e-1", "0.2_5", "0", "1", "", " ", "/", "1/",
+    "/2", "1//2", "1/2/3", "1 /3", "1/ 3", "0x1/2", "1/3e0", "nan", "inf", "½"]
+
+
+@settings(max_examples=300)
+@given(st.one_of(ratio_spellings(), long_spellings(), st.sampled_from(OTHER_SPELLINGS),
+                 st.text(alphabet="0123456789/._+-eE ١²", max_size=8)))
+def test_property_point_parse_matches_fraction_parse(text):
+    assert parse_outcome(CirclePoint.parse, text) == parse_outcome(ref_parse, text)
 
 
 @PROPS
