@@ -374,15 +374,14 @@ def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     The factor lambda^{c} equals (df/dz)^{-h} evaluated branch-free; it must
     agree with the direct transformed-state evaluation.
     """
-    e = th.reduce(f)
-    inv = th.to_piecewise(e).inverse()
+    m = th.to_piecewise(th.reduce(f))
+    inv = m.inverse()
     lam = model.eigenvalues
     factor = 1.0 + 0.0j
     pulled: List[Tuple[Fraction, int]] = []
     for ins in req.insertions:
         xj = inv(ins.position.value)
-        c = th.slope_right(e, xj)
-        factor *= ipow(lam[ins.label], c)
+        factor *= ipow(lam[ins.label], m.piece_at(xj).c)  # right slope at xj
         pulled.append((xj, ins.label))
     pulled.sort(key=lambda t: t[0])
     for (x1, _), (x2, _) in zip(pulled, pulled[1:]):

@@ -1,14 +1,18 @@
 """Exact arithmetic on the dyadic circle [0,1): points, standard intervals,
-partitions, the partition <-> binary tree bijection, leaf pairs and the tree
-metric.
+partitions, the partition <-> binary tree bijection, nested tree documents,
+leaf pairs and the tree metric.
 
 A standard interval is its integer (left numerator, level) pair.  Partition
 checks and `fold_tree`, one stack pass folding a partition's tree without
-building it, run on those integers.  A leaf pair (a, l, b, m) maps the
-interval [a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk
-over two pair lists, `_compose_pairs`, composes Thompson elements, pulls a
-partition back through one, and gives the common refinement of two
-partitions as the domain of id_P o id_Q, all on integers.  The
+building it, run on those integers.  Nested documents (0 a leaf, [left,
+right] a caret) are written by that fold and read by one explicit-stack pass
+straight to (a, l) leaves, so no function here recurses; a `BinaryTree` is
+built only for the matrix references in `treestate`.  A leaf pair
+(a, l, b, m) maps the interval [a/2^l, (a+1)/2^l) affinely onto
+[b/2^m, (b+1)/2^m); one merge walk over two pair lists, `_compose_pairs`,
+composes Thompson elements, pulls a partition back through one, and gives
+the common refinement of two partitions as the domain of id_P o id_Q, all
+on integers.  The
 supporting-partition descent, the point-order check and `index_of` read
 each point once as its integer pair (p, q) and compare by
 cross-multiplication; `supporting_slots`, the descent itself, returns the
@@ -194,16 +198,16 @@ def xor_sub(y: DyadicRational, x: DyadicRational) -> DyadicRational:
 
 
 def tree_metric(x: DyadicRational, y: DyadicRational, level: int) -> int:
-    """Recursive tree distance between leaves of the regular depth-`level` tree."""
+    """Tree distance between leaves of the regular depth-`level` tree, by
+    definition: the number of steps up from both leaves (one shift of each
+    numerator) until they meet."""
     a = x.numerator_at(level)
     b = y.numerator_at(level)
-
-    def rec(p: int, q: int) -> int:
-        if p == q:
-            return 0
-        return 1 + rec(p >> 1, q >> 1)
-
-    return rec(a, b)
+    steps = 0
+    while a != b:
+        a, b = a >> 1, b >> 1
+        steps += 1
+    return steps
 
 
 def floor_log2(v: DyadicRational) -> int:
@@ -298,7 +302,8 @@ class StdInterval:
 
 
 class BinaryTree:
-    """Immutable rooted binary tree; a node is a leaf iff it has no children."""
+    """Immutable rooted binary tree; a node is a leaf iff it has no children.
+    Two trees are equal iff their partitions are (`tree_to_partition`)."""
 
     __slots__ = ("left", "right", "_leaves")
 
@@ -315,34 +320,6 @@ class BinaryTree:
 
     def leaf_count(self) -> int:
         return self._leaves
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryTree):
-            return NotImplemented
-        if self.is_leaf() or other.is_leaf():
-            return self.is_leaf() and other.is_leaf()
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self):
-        return hash(self.to_nested())
-
-    def to_nested(self):
-        """Leaf -> 0, caret -> (left, right); JSON uses lists."""
-        if self.is_leaf():
-            return 0
-        return (self.left.to_nested(), self.right.to_nested())
-
-    @staticmethod
-    def from_nested(obj) -> "BinaryTree":
-        """Inverse of `to_nested`; a caret may also be a (JSON) list."""
-        if isinstance(obj, int) and obj == 0:
-            return LEAF
-        if not (isinstance(obj, (tuple, list)) and len(obj) == 2):
-            raise ValueError("tree documents nest 0 (a leaf) and [left, right] (a caret)")
-        return BinaryTree(BinaryTree.from_nested(obj[0]), BinaryTree.from_nested(obj[1]))
-
-    def __repr__(self):
-        return f"BinaryTree{self.to_nested()!r}"
 
 
 LEAF = BinaryTree()
@@ -493,6 +470,29 @@ def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
 
 def partition_to_tree(P: DyadicPartition) -> BinaryTree:
     return fold_tree(P, lambda k: LEAF, BinaryTree)
+
+
+def partition_to_nested(P: DyadicPartition):
+    """P's tree as a nested document: 0 is a leaf, [left, right] a caret."""
+    return fold_tree(P, lambda k: 0, lambda left, right: [left, right])
+
+
+def nested_to_leaves(doc) -> List[Tuple[int, int]]:
+    """Leaves (a, l) of a nested document, left to right: the intervals of
+    its partition.  A caret may also be a 2-tuple; booleans are refused.
+    One pass with an explicit stack, so any depth is read."""
+    out: List[Tuple[int, int]] = []
+    stack = [(doc, 0, 0)]
+    while stack:
+        node, a, l = stack.pop()
+        if isinstance(node, (list, tuple)) and len(node) == 2:
+            stack.append((node[1], 2 * a + 1, l + 1))
+            stack.append((node[0], 2 * a, l + 1))
+        elif type(node) is int and node == 0:  # not False
+            out.append((a, l))
+        else:
+            raise ValueError("tree documents nest 0 (a leaf) and [left, right] (a caret)")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -209,9 +209,6 @@ class ModelSpec:
             raise ValueError("no isometry in model")
         return self.isometry
 
-    def zero_mask(self) -> np.ndarray:
-        return np.array(self.zero_weight)
-
 
 def preset(name: str) -> ModelSpec:
     if name == "qutrit":

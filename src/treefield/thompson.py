@@ -9,10 +9,13 @@ pass of the merge walk `dyadic._compose_pairs` over two pair lists, and the
 same walk pulls a partition of the range back into the domain (it also
 gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
 sibling pairs, so reduced pairs are canonical: equal group elements have
-identical reduced pairs.  Trees are read only by `ThompsonElement.from_trees`;
-documents fold the partitions to nested lists (`dyadic.fold_tree`).  The
-exact `Fraction` piecewise form serves point evaluation, slopes, breakpoint
-tables and the check of the integer algebra.
+identical reduced pairs.  The generators are a literal table of pairs;
+tree-pair documents go straight between nested lists and (a, l) leaves
+(`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`).  A `BinaryTree`
+is built only for the `treestate` matrix references under the transformed
+expectation and the vacuum-invariance check.  The exact `Fraction`
+piecewise form serves point evaluation, slopes, breakpoint tables and the
+check of the integer algebra.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import treestate
-from .dyadic import (LEAF, MAX_LEVEL, BinaryTree, DyadicPartition,
-                     DyadicRational, LeafPair, PointLike, StdInterval, caret,
-                     check_regular_level, common_refinement, fold_tree,
-                     identity_pairs, is_refinement, partition_to_tree,
-                     regular_partition, tree_to_partition, _as_fraction,
-                     _compose_pairs)
+from .dyadic import (MAX_LEVEL, DyadicPartition, DyadicRational, LeafPair,
+                     PointLike, StdInterval, check_regular_level,
+                     common_refinement, identity_pairs, is_refinement,
+                     nested_to_leaves, partition_to_nested, partition_to_tree,
+                     regular_partition, _as_fraction, _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -161,20 +163,6 @@ class ThompsonElement:
         self.domain_partition()
         self.range_partition()
 
-    @staticmethod
-    def from_trees(domain: BinaryTree, range_: BinaryTree,
-                   rotation: int = 0) -> "ThompsonElement":
-        """The tree pair mapping domain leaf i onto range leaf
-        (i + rotation) mod n."""
-        n = domain.leaf_count()
-        if range_.leaf_count() != n:
-            raise ValueError("leaf counts differ between domain and range trees")
-        ran = tree_to_partition(range_).intervals
-        k = rotation % n
-        return ThompsonElement([(d.left_numerator, d.level, r.left_numerator, r.level)
-                                for d, r in zip(tree_to_partition(domain),
-                                                ran[k:] + ran[:k])])
-
     def _first_image(self) -> int:
         """Index of the pair whose image starts at 0."""
         for i, p in enumerate(self.pairs):
@@ -260,7 +248,7 @@ def from_piecewise(m: PiecewiseLinearMap) -> ThompsonElement:
 def _cancel(pairs: Sequence[LeafPair]) -> Sequence[LeafPair]:
     """Reduced pairs in one stack pass: a pair whose domain and image are
     both right halves merges with the top of the stack when that holds the
-    matching left halves, repeatedly (the shape of `partition_to_tree`).
+    matching left halves, repeatedly (the shape of `dyadic.fold_tree`).
     Returns `pairs` itself when nothing cancels; raises when a reduced
     domain leaf is deeper than MAX_LEVEL."""
     stack: List[LeafPair] = []
@@ -296,27 +284,29 @@ def compose(g: ThompsonElement, h: ThompsonElement) -> ThompsonElement:
 # generators and words
 
 
+# Leaf pairs of the standard generators A, B, C of F and T (Cannon, Floyd and
+# Parry) and of the half rotation S = A.C.  As tree pairs: A maps
+# [0, [0, 0]] onto [[0, 0], 0]; B is A on [1/2, 1); C rotates the leaves of
+# [0, [0, 0]] by 2; S rotates those of [0, 0] by 1.
+_GENERATORS = {
+    "A": ((0, 1, 0, 2), (2, 2, 1, 2), (3, 2, 1, 1)),
+    "B": ((0, 1, 0, 1), (2, 2, 4, 3), (6, 3, 5, 3), (7, 3, 3, 2)),
+    "C": ((0, 1, 3, 2), (2, 2, 0, 1), (3, 2, 2, 2)),
+    "S": ((0, 1, 1, 1), (1, 1, 0, 1)),
+}
+
+
 def generator(name: str) -> ThompsonElement:
     """A, B, C (standard generators) or S (half rotation, S = A.C)."""
-    L = LEAF
-    if name == "A":
-        return ThompsonElement.from_trees(caret(L, caret(L, L)), caret(caret(L, L), L))
-    if name == "B":
-        return ThompsonElement.from_trees(caret(L, caret(L, caret(L, L))),
-                                          caret(L, caret(caret(L, L), L)))
-    if name == "C":
-        t = caret(L, caret(L, L))
-        return ThompsonElement.from_trees(t, t, 2)
-    if name == "S":
-        t = caret(L, L)
-        return ThompsonElement.from_trees(t, t, 1)
-    raise ValueError(f"unknown generator {name!r}")
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator {name!r}")
+    return ThompsonElement(_GENERATORS[name])
 
 
 MAX_WORD_LENGTH = 1024  # generators in one word; longer words are refused
 # name -> (pairs of the generator, pairs of its inverse)
-_GENERATOR_PAIRS = {name: (generator(name).pairs, generator(name).inverse().pairs)
-                    for name in "ABCS"}
+_GENERATOR_PAIRS = {name: (pairs, ThompsonElement(pairs).inverse().pairs)
+                    for name, pairs in _GENERATORS.items()}
 
 
 def parse_word(word: str) -> ThompsonElement:
@@ -367,10 +357,13 @@ def element_from_document(doc) -> ThompsonElement:
     if "domain" not in doc or "range" not in doc:
         raise ValueError("state document needs 'word', 'pieces', or 'domain' and 'range'")
     rotation = doc.get("rotation", 0)
-    if not isinstance(rotation, int):
+    if type(rotation) is not int:  # not a bool either
         raise ValueError("state 'rotation' must be an integer")
-    return ThompsonElement.from_trees(BinaryTree.from_nested(doc["domain"]),
-                                      BinaryTree.from_nested(doc["range"]), rotation)
+    dom, ran = nested_to_leaves(doc["domain"]), nested_to_leaves(doc["range"])
+    if len(ran) != len(dom):
+        raise ValueError("leaf counts differ between domain and range trees")
+    k = rotation % len(dom)  # domain leaf i maps onto range leaf (i + rotation) mod n
+    return ThompsonElement([d + r for d, r in zip(dom, ran[k:] + ran[:k])])
 
 
 def _coordinate(v) -> Fraction:
@@ -382,9 +375,8 @@ def _coordinate(v) -> Fraction:
 
 def element_to_document(e: ThompsonElement) -> dict:
     e = reduce(e)
-    leaf, join = (lambda k: 0), (lambda l, r: [l, r])
-    return {"domain": fold_tree(e.domain_partition(), leaf, join),
-            "range": fold_tree(e.range_partition(), leaf, join),
+    return {"domain": partition_to_nested(e.domain_partition()),
+            "range": partition_to_nested(e.range_partition()),
             "rotation": e.rotation}
 
 

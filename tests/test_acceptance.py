@@ -290,13 +290,13 @@ def test_criterion_08_modular_invariance():
     assert not ok and dev > 1e-3
 
 
-@report(9, "tree metric: recursion = closed form exhaustively to level 10")
+@report(9, "tree metric: definition = closed form exhaustively to level 10")
 def test_criterion_09_tree_metric_suite():
     # the frozen worked example
     x, y = DyadicRational(13, 5), DyadicRational(15, 5)
     assert tree_metric(x, y, 5) == 2
     assert tree_metric_formula(x, y, 5) == 2
-    # exhaustive agreement of recursion and closed form for levels <= 10
+    # exhaustive agreement of definition and closed form for levels <= 10
     for level in range(1, 11):
         n = 1 << level
         for a in range(n):

@@ -231,6 +231,10 @@ def test_domain_error_exit_code(capsys, tmp_path):
     bad_states = [({"rotation": 1}, "state document needs"),
                   ({"word": 5}, "'word' must be a string"),
                   ({"domain": 1, "range": 2}, "tree documents nest"),
+                  # JSON booleans are neither leaves nor rotations
+                  ({"domain": False, "range": 0}, "tree documents nest"),
+                  ({"domain": [0, 0], "range": [0, 0], "rotation": True},
+                   "'rotation' must be an integer"),
                   ({"pieces": 5}, "'pieces' must be a list")]
     corr = ["correlator", "--model", "qutrit"]
     cases = [

@@ -183,7 +183,7 @@ def test_closed_forms_agree_with_engine_and_oracle(qutrit):
 
 def test_closed_form_on_swap_symmetric_random_model():
     model = swap_model(11)
-    if np.any(model.zero_mask()):
+    if any(model.zero_weight):
         pytest.skip("random model hit a zero eigenvalue")
     for j, k in [(0, 1), (1, 2), (0, 3), (2, 3), (1, 3)]:
         x, y = CirclePoint(Fraction(j, 4)), CirclePoint(Fraction(k, 4))
@@ -295,8 +295,8 @@ def test_property_request_order_check_matches_fraction_order(qutrit, points):
 
 def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     # after parsing, the vacuum path runs on integer pairs: no interval
-    # endpoint is built as a Fraction, the descent's slots are used without
-    # bisecting for them again, and no zero-weight mask is rebuilt
+    # endpoint is built as a Fraction, and the descent's slots are used
+    # without bisecting for them again
     dyadic = {Fraction(k * 4093 % 65536, 65536) for k in range(1, 17)}
     odd = {Fraction(k, 2 * k + 1) for k in range(1, 17)}
     doc = {"positions": [str(x) for x in sorted(dyadic | odd)],
@@ -307,7 +307,7 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     def refuse(self):
         raise AssertionError("interval endpoint built as a Fraction")
 
-    calls = {"index_of": 0, "zero_mask": 0}
+    calls = {"index_of": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -317,18 +317,17 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
 
     monkeypatch.setattr(DyadicPartition, "index_of",
                         counted("index_of", DyadicPartition.index_of))
-    monkeypatch.setattr(ModelSpec, "zero_mask", counted("zero_mask", ModelSpec.zero_mask))
     with monkeypatch.context() as m:
         m.setattr(StdInterval, "left", property(refuse))
         m.setattr(StdInterval, "right", property(refuse))
         req = request_from_document(doc, qutrit)
         assert n_point(req, qutrit) == want
-    assert calls == {"index_of": 0, "zero_mask": 0}
+    assert calls == {"index_of": 0}
 
     # an explicit partition finds the slots by bisection, to the same bits
     msp = minimal_supporting_partition([ins.position for ins in req.insertions])
     assert repr(n_point(req, qutrit, partition=msp)) == repr(want)
-    assert calls == {"index_of": 32, "zero_mask": 0}
+    assert calls == {"index_of": 32}
 
 
 def test_zero_weight_label_rejected():
@@ -338,8 +337,8 @@ def test_zero_weight_label_rejected():
     m[3, 1] = 1.0
     model = ModelSpec("copy", "isometry", ("0", "1", "2", "3"), {},
                       isometry=Isometry3Box(m))
-    assert np.count_nonzero(model.zero_mask()) == 2
-    zero_label = int(np.flatnonzero(model.zero_mask())[0])
+    assert sum(model.zero_weight) == 2
+    zero_label = model.zero_weight.index(True)
     with pytest.raises(ValueError, match="zero ascending weight"):
         FieldInsertion.make(frac("1/4"), zero_label, model)
     with pytest.raises(ValueError, match="zero ascending weight"):
@@ -438,7 +437,7 @@ def test_smeared_random_pieces_term_oracle():
             overlaps = [(min(iv.right, p.right) - max(iv.left, p.left), M)
                         for p, M in pieces]
             for a in range(4):
-                if model.zero_mask()[a]:
+                if model.zero_weight[a]:
                     continue
                 fbar = sum(np.trace(S.left_ops[a].conj().T @ M) / 2 * float(w)
                            for w, M in overlaps if w > 0)

@@ -11,7 +11,8 @@ from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
                               as_point, caret, coarse_grain_distance,
                               common_prefix_length, common_refinement,
                               containing_interval, fold_tree, is_refinement,
-                              minimal_supporting_partition, partition_to_tree,
+                              minimal_supporting_partition, nested_to_leaves,
+                              partition_to_nested, partition_to_tree,
                               regular_partition, regular_tree,
                               supporting_slots, supports, tree_metric,
                               tree_metric_formula, tree_to_partition, xor_sub)
@@ -55,6 +56,13 @@ def test_tree_metric_trivial_cases():
         assert tree_metric_formula(dy(0, 0), dy(1, l), l) == 1
 
 
+def test_tree_metric_at_level_3000():
+    # the definition is a shift loop, so no recursion limit caps the level
+    for x, y in ((dy(0, 0), dy(1, 1)), (dy(1, 3000), dy(3, 3000)), (dy(1, 2), dy(5, 3000))):
+        assert tree_metric(x, y, 3000) == tree_metric_formula(x, y, 3000)
+    assert tree_metric(dy(0, 0), dy(1, 1), 3000) == 3000
+
+
 def test_tree_metric_level_underflow():
     with pytest.raises(ValueError, match="level underflow"):
         tree_metric(dy(1, 5), dy(0, 0), 3)
@@ -73,18 +81,18 @@ def test_tree_metric_formula_matches_recursion_exhaustively():
         x, y = np.meshgrid(a, a)
         xor = (x ^ y).ravel()
         mask = xor > 0
-        # bit length of the xor = the recursive tree distance
+        # bit length of the xor = the tree distance
         expect = np.zeros(xor.shape, dtype=int)
         powers = 2 ** np.arange(level + 1)
         expect[mask] = np.digitize(xor[mask], powers)
-        # spot-check against the recursive definition on a sample
+        # spot-check against the definition (`tree_metric`) on a sample
         rng = np.random.default_rng(level)
         idx = rng.choice(np.flatnonzero(mask), size=min(200, mask.sum()), replace=False)
         for i in idx:
             xi, yi = int(x.ravel()[i]), int(y.ravel()[i])
             assert tree_metric(dy(xi, level), dy(yi, level), level) == expect[i]
             assert tree_metric_formula(dy(xi, level), dy(yi, level), level) == expect[i]
-        # closed form agrees with the vectorised recursion everywhere
+        # closed form agrees with the vectorised distance everywhere
         bl = np.array([int(v).bit_length() for v in xor[mask]])
         assert np.array_equal(bl, expect[mask])
 
@@ -260,6 +268,14 @@ def test_tree_partition_round_trip():
         assert tree_to_partition(t2) == P
 
 
+def test_nested_document_shapes():
+    assert nested_to_leaves(0) == [(0, 0)]
+    assert nested_to_leaves(((0, 0), [0, 0])) == [(0, 2), (1, 2), (2, 2), (3, 2)]
+    for bad in (False, True, 1, 0.0, "0", None, [0], [0, 0, 0], [0, [False, 0]]):
+        with pytest.raises(ValueError, match="tree documents nest"):
+            nested_to_leaves(bad)
+
+
 def test_containing_interval():
     assert containing_interval(TRIVIAL_PARTITION, Fraction(1, 3)) == StdInterval(0, 0)
     P = regular_partition(1)
@@ -360,10 +376,12 @@ def ref_is_refinement(P, Q):
 @PROPS
 @given(partitions())
 def test_property_tree_partition_round_trip(P):
+    # a tree is its partition, so tree -> partition -> tree is this check too
     t = partition_to_tree(P)
     assert t.leaf_count() == len(P)
     assert tree_to_partition(t) == P
-    assert partition_to_tree(tree_to_partition(t)) == t
+    assert nested_to_leaves(partition_to_nested(P)) == [
+        (iv.left_numerator, iv.level) for iv in P]
 
 
 @PROPS
@@ -371,11 +389,10 @@ def test_property_tree_partition_round_trip(P):
 def test_property_fold_tree_slot_order_and_document_shape(P):
     assert fold_tree(P, lambda k: (k,), lambda l, r: l + r) == tuple(range(len(P)))
 
-    def listed(obj):
-        return obj if obj == 0 else [listed(obj[0]), listed(obj[1])]
+    def nested(t):  # the built tree's document, by its own walk
+        return 0 if t.is_leaf() else [nested(t.left), nested(t.right)]
 
-    assert (fold_tree(P, lambda k: 0, lambda l, r: [l, r])
-            == listed(partition_to_tree(P).to_nested()))
+    assert partition_to_nested(P) == nested(partition_to_tree(P))
 
 
 @PROPS

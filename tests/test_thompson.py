@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import treefield.thompson as thompson_module
 from treefield.dyadic import (LEAF, TRIVIAL_PARTITION, DyadicPartition,
-                              StdInterval, caret, partition_to_tree,
-                              regular_partition)
+                              StdInterval, caret, partition_to_nested,
+                              regular_partition, tree_to_partition)
 from treefield.models import degenerate_isometry, preset
 from treefield.thompson import (IDENTITY, PiecewiseLinearMap, PLPiece,
                                 ThompsonElement, compose, element_from_document,
@@ -60,22 +61,56 @@ def test_s_equals_a_compose_c():
     assert equal(S, compose(A, C))
 
 
+def tree_pair(domain, range_, rotation=0):
+    """Reference: the pairs of the tree pair mapping domain leaf i onto range
+    leaf (i + rotation) mod n, from built trees."""
+    dom, ran = tree_to_partition(domain), tree_to_partition(range_)
+    assert len(dom) == len(ran)
+    k = rotation % len(dom)
+    return tuple((d.left_numerator, d.level, r.left_numerator, r.level)
+                 for d, r in zip(dom, ran.intervals[k:] + ran.intervals[:k]))
+
+
+def test_generator_pairs_match_their_tree_pairs():
+    L = LEAF
+    assert A.pairs == tree_pair(caret(L, caret(L, L)), caret(caret(L, L), L))
+    assert B.pairs == tree_pair(caret(L, caret(L, caret(L, L))),
+                                caret(L, caret(caret(L, L), L)))
+    assert C.pairs == tree_pair(caret(L, caret(L, L)), caret(L, caret(L, L)), 2)
+    assert S.pairs == tree_pair(caret(L, L), caret(L, L), 1)
+
+
+def test_thompson_builds_no_trees_of_its_own():
+    # trees reach this module only through partition_to_tree, for the
+    # treestate references
+    for name in ("BinaryTree", "LEAF", "caret", "tree_to_partition"):
+        assert not hasattr(thompson_module, name)
+
+
 def test_identity_pair_reduces_to_leaf():
-    t = caret(caret(LEAF, LEAF), LEAF)
-    e = ThompsonElement.from_trees(t, t, 0)
-    r = reduce(e)
-    assert r.n_leaves == 1 and partition_to_tree(r.domain_partition()) == LEAF
+    t = [[0, 0], 0]
+    r = reduce(element_from_document({"domain": t, "range": t}))
+    assert r.n_leaves == 1 and r.domain_partition() == TRIVIAL_PARTITION
+
+
+def test_deep_comb_reduces_in_process():
+    # documents are read with an explicit stack: a comb far deeper than the
+    # recursion limit, given as a Python object, reduces to the identity
+    comb = 0
+    for _ in range(5000):
+        comb = [0, comb]
+    assert reduce(element_from_document({"domain": comb, "range": comb})) == IDENTITY
 
 
 def test_worked_fraction_reduction():
     # four-leaf fraction whose middle caret pair cancels
-    s = caret(caret(LEAF, caret(LEAF, LEAF)), LEAF)
-    t = caret(LEAF, caret(caret(LEAF, LEAF), LEAF))
-    e = ThompsonElement.from_trees(s, t, 0)
+    e = element_from_document({"domain": [[0, [0, 0]], 0], "range": [0, [[0, 0], 0]]})
     r = reduce(e)
-    assert partition_to_tree(r.domain_partition()) == caret(caret(LEAF, LEAF), LEAF)
-    assert partition_to_tree(r.range_partition()) == caret(LEAF, caret(LEAF, LEAF))
+    assert r.domain_partition() == tree_to_partition(caret(caret(LEAF, LEAF), LEAF))
+    assert r.range_partition() == tree_to_partition(caret(LEAF, caret(LEAF, LEAF)))
     assert r.rotation == 0
+    assert element_to_document(e) == {"domain": [[0, 0], 0], "range": [0, [0, 0]],
+                                      "rotation": 0}
 
 
 def test_reduce_idempotent_and_inverse_cancellation():
@@ -246,11 +281,10 @@ def points(draw):
 def split(e, i):
     """The same element with domain leaf i and its image leaf split into
     halves (an unreduced pair)."""
-    n = e.n_leaves
-    j = (i + e.rotation) % n
-    dom = e.domain_partition().refine_at(i)
-    ran = e.range_partition().refine_at(j)
-    return ThompsonElement.from_trees(partition_to_tree(dom), partition_to_tree(ran), j - i)
+    pairs = list(e.pairs)
+    a, l, b, m = pairs[i]
+    pairs[i:i + 1] = [(2 * a, l + 1, 2 * b, m + 1), (2 * a + 1, l + 1, 2 * b + 1, m + 1)]
+    return ThompsonElement(pairs)
 
 
 @PROPS
@@ -314,8 +348,9 @@ def test_property_trees_and_documents_round_trip(e, cuts):
     u = e
     for k in cuts:
         u = split(u, k % u.n_leaves)
-    assert ThompsonElement.from_trees(partition_to_tree(u.domain_partition()),
-                                      partition_to_tree(u.range_partition()), u.rotation) == u
+    unreduced = {"domain": partition_to_nested(u.domain_partition()),
+                 "range": partition_to_nested(u.range_partition()), "rotation": u.rotation}
+    assert element_from_document(unreduced) == u
     doc = json.loads(json.dumps(element_to_document(u)))
     assert element_from_document(doc) == reduce(u) == e
 
