@@ -6,9 +6,8 @@ renormalised field insertions, and the action of Thompson's groups F and T
 on those correlators, with a brute-force contraction oracle throughout.
 """
 
-from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, DyadicRational,
-                     StdInterval, coarse_grain_distance, common_refinement,
-                     containing_interval, is_refinement,
+from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, StdInterval,
+                     coarse_grain_distance, common_refinement, is_refinement,
                      minimal_supporting_partition, partition_to_tree,
                      tree_metric, tree_metric_formula, tree_to_partition,
                      xor_sub)

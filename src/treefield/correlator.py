@@ -12,11 +12,12 @@ ascent and the dense oracle in `treestate` are its references.
 
 Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
-logarithm branch.  A request keeps its positions as `Fraction`s
-(`CirclePoint.value`), and the vacuum n-point reads them once as integer
-pairs: `dyadic.supporting_slots` gives the minimal supporting partition and
-each insertion's slot in it.  Slots are found by `DyadicPartition.index_of`
-bisection only on an explicit `partition=` and on the transformed path's Q.
+logarithm branch.  A request keeps its positions as `CirclePoint`s, integer
+pairs (p, q), and the vacuum n-point hands those pairs to
+`dyadic.supporting_slots`, which gives the minimal supporting partition and
+each insertion's slot in it; no `Fraction` is built on that path.  Slots
+are found by `DyadicPartition.index_of` bisection only on an explicit
+`partition=` and on the transformed path's Q.
 """
 
 from __future__ import annotations
@@ -29,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import thompson as th
-from .dyadic import (CirclePoint, DyadicPartition, DyadicRational, PointLike,
-                     StdInterval, as_point, check_point_order,
-                     check_regular_level, common_prefix_length,
-                     common_refinement, fold_tree, is_refinement,
-                     minimal_supporting_partition, regular_partition,
-                     supporting_slots)
+from .dyadic import (CirclePoint, DyadicPartition, PointLike, StdInterval,
+                     as_point, check_point_order, check_regular_level,
+                     common_prefix_length, common_refinement, fold_tree,
+                     is_refinement, minimal_supporting_partition,
+                     regular_partition, supporting_slots)
 from .models import ModelSpec
 from .spectral import scaling_dimension
 
@@ -78,11 +78,7 @@ class CorrelatorRequest:
 
     def point_pairs(self) -> List[Tuple[int, int]]:
         """The insertion points p/q as integer pairs (p, q), in order."""
-        out = []
-        for ins in self.insertions:
-            v = ins.position.value
-            out.append((v.numerator, v.denominator))
-        return out
+        return [(ins.position.p, ins.position.q) for ins in self.insertions]
 
     @staticmethod
     def make(positions: Sequence[PointLike], labels: Sequence, model: ModelSpec,
@@ -179,18 +175,16 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
 # closed two-point forms
 
 
-def _as_dyadic(x: PointLike) -> DyadicRational:
-    p = as_point(x)
-    if not p.is_dyadic():
-        raise ValueError("closed form requires dyadic points")
-    return p.to_dyadic()
-
-
 def two_point_terms(x: PointLike, y: PointLike, alpha, beta,
                     model: ModelSpec) -> np.ndarray:
     """Per-gamma contributions of the closed two-point form."""
-    dx, dy = _as_dyadic(x), _as_dyadic(y)
-    if dx.as_fraction() == dy.as_fraction():
+    points = []
+    for v in (x, y):  # each point read and checked in turn
+        points.append(as_point(v))
+        if not points[-1].is_dyadic():
+            raise ValueError("closed form requires dyadic points")
+    dx, dy = points
+    if dx == dy:
         raise ValueError("coincident points")
     a = model.label_index(alpha)
     b = model.label_index(beta)
@@ -329,10 +323,10 @@ def staircase_samples(x_fixed: PointLike, alpha, beta, depth: int, grid: int,
     b = model.label_index(beta)
     rows = []
     for kk in range(1 << grid):
-        y = CirclePoint(Fraction(kk, 1 << grid))
-        if y.value == x.value:
+        y = CirclePoint(kk, 1 << grid)
+        if y == x:
             continue
-        if y.value < x.value:
+        if y < x:
             req = CorrelatorRequest.make([y, x], [b, a], model)
         else:
             req = CorrelatorRequest.make([x, y], [a, b], model)

@@ -2,39 +2,41 @@
 partitions, the partition <-> binary tree bijection, nested tree documents,
 leaf pairs and the tree metric.
 
-A standard interval is its integer (left numerator, level) pair.  Partition
-checks and `fold_tree`, one stack pass folding a partition's tree without
-building it, run on those integers.  Nested documents (0 a leaf, [left,
-right] a caret) are written by that fold and read by one explicit-stack pass
-straight to (a, l) leaves, so no function here recurses; a `BinaryTree` is
-built only for the matrix references in `treestate`.  A leaf pair
-(a, l, b, m) maps the interval [a/2^l, (a+1)/2^l) affinely onto
-[b/2^m, (b+1)/2^m); one merge walk over two pair lists, `_compose_pairs`,
-composes Thompson elements, pulls a partition back through one, and gives
-the common refinement of two partitions as the domain of id_P o id_Q, all
-on integers.  The
-supporting-partition descent, the point-order check and `index_of` read
-each point once as its integer pair (p, q) and compare by
+A point is its reduced integer pair (p, q), 0 <= p < q (`CirclePoint`); a
+dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
+the coarse-graining distance read its level from q.  `CirclePoint.parse`
+reads an ASCII 'p/q' or a binary expansion with `int` calls and leaves every
+other spelling to `Fraction(str)`.  A standard interval is its integer
+(left numerator, level) pair.  Partition checks and `fold_tree`, one stack
+pass folding a partition's tree without building it, run on those
+integers.  Nested documents (0 a leaf, [left, right] a caret) are written by
+that fold and read by one explicit-stack pass straight to (a, l) leaves, so
+no function here recurses; a `BinaryTree` is built only for the matrix
+references in `treestate`.  A leaf pair (a, l, b, m) maps the interval
+[a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk over two
+pair lists, `_compose_pairs`, composes Thompson elements, pulls a partition
+back through one, and gives the common refinement of two partitions as the
+domain of id_P o id_Q, all on integers.  The supporting-partition descent,
+the point-order check and `index_of` compare points by
 cross-multiplication; `supporting_slots`, the descent itself, returns the
 partition together with each point's slot, so a caller that has it needs
-no `index_of` bisection.  `CirclePoint.parse` reads an ASCII 'p/q' with two
-`int` calls and leaves every other spelling to `Fraction(str)`.
-`Fraction` remains only in `is_refinement` and at the API edges
-(`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`,
-`DyadicRational.as_fraction`).  No floats enter any decision.  Intervals
-are half-open [a, b) throughout, including the last one.
+no `index_of` bisection.  `Fraction` remains only in `is_refinement` and at
+the API edges (`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`).
+No floats enter any decision.  Intervals are half-open [a, b) throughout,
+including the last one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
 
-PointLike = Union["DyadicRational", "CirclePoint", Fraction, int, str]
+PointLike = Union["CirclePoint", Fraction, int, str]
 T = TypeVar("T")
 
 
@@ -42,162 +44,98 @@ T = TypeVar("T")
 # points
 
 
-@dataclass(frozen=True)
-class DyadicRational:
-    """a / 2^level in [0,1), stored in canonical form (a odd, or level 0)."""
-
-    numerator: int
-    level: int
-
-    def __post_init__(self):
-        a, l = self.numerator, self.level
-        if l < 0:
-            raise ValueError(f"negative level {l}")
-        if a < 0 or a >= (1 << l):
-            raise ValueError(f"{a}/2^{l} is not in [0,1)")
-        while l > 0 and a % 2 == 0:
-            a //= 2
-            l -= 1
-        object.__setattr__(self, "numerator", a)
-        object.__setattr__(self, "level", l)
-
-    @staticmethod
-    def zero() -> "DyadicRational":
-        return DyadicRational(0, 0)
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "DyadicRational":
-        if not 0 <= q < 1:
-            raise ValueError(f"{q} is not in [0,1)")
-        den = q.denominator
-        if den & (den - 1):
-            raise ValueError(f"{q} is not dyadic")
-        return DyadicRational(q.numerator, den.bit_length() - 1)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.level)
-
-    def numerator_at(self, level: int) -> int:
-        """Integer a with value = a/2^level; errors if not representable."""
-        if level < self.level:
-            raise ValueError(
-                f"level underflow: {self} not representable at level {level}"
-            )
-        return self.numerator << (level - self.level)
-
-    def bits(self, level: Optional[int] = None) -> Tuple[int, ...]:
-        l = self.level if level is None else level
-        a = self.numerator_at(l)
-        return tuple((a >> (l - 1 - j)) & 1 for j in range(l))
-
-    def to_binary_string(self, level: Optional[int] = None) -> str:
-        return "0." + "".join(str(b) for b in self.bits(level))
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{1 << self.level}"
-
-    def __lt__(self, other) -> bool:
-        return self.as_fraction() < _as_fraction(other)
-
-    def __le__(self, other) -> bool:
-        return self.as_fraction() <= _as_fraction(other)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CirclePoint:
-    """Exact rational point p/q in [0,1) with lazily computable binary digits."""
+    """Exact rational point p/q in [0,1), stored as its reduced integer pair
+    (p, q) with 0 <= p < q.  `CirclePoint(x)` takes a `Fraction`, an int or
+    a `Fraction` literal; `CirclePoint(p, q)` takes the pair itself."""
 
-    value: Fraction
+    p: int
+    q: int
 
-    def __post_init__(self):
-        v = self.value
-        if not isinstance(v, Fraction):
-            v = Fraction(v)
-            object.__setattr__(self, "value", v)
-        if not 0 <= v.numerator < v.denominator:
-            raise ValueError(f"{v} is not in [0,1)")
+    def __init__(self, value: Union[Fraction, int, str],
+                 denominator: Optional[int] = None):
+        if denominator is None:
+            v = value if isinstance(value, Fraction) else Fraction(value)
+            p, q = v.numerator, v.denominator
+        else:
+            if denominator == 0:
+                raise ZeroDivisionError(f"CirclePoint({value}, 0)")
+            g = gcd(value, denominator)
+            p, q = value // g, denominator // g
+        if not 0 <= p < q:
+            raise ValueError(f"{Fraction(p, q)} is not in [0,1)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @staticmethod
     def parse(text: str) -> "CirclePoint":
         """Accepts 'p/q', a binary expansion '0.b1b2...', or any other
         `Fraction` literal (an integer, a decimal such as '0.25' or '3e-2').
-        ASCII digit strings 'p/q' are split at the slash and read with two
-        `int` calls; every other spelling goes through `Fraction(str)`, which
-        gives the same values and errors."""
+        A binary expansion and an ASCII 'p/q' are read with `int` calls;
+        every other spelling goes through `Fraction(str)`, which gives the
+        same values and errors."""
         s = text.strip()
         if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
-            num = int(s[2:], 2)
-            return CirclePoint(Fraction(num, 1 << (len(s) - 2)))
+            return CirclePoint(int(s[2:], 2), 1 << (len(s) - 2))
         p, slash, q = s.partition("/")
         try:
             if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-                return CirclePoint(Fraction(int(p), int(q)))
+                return CirclePoint(int(p), int(q))
             return CirclePoint(Fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"point {text!r} has a zero denominator") from None
 
-    def digit(self, j: int) -> int:
-        """j-th binary digit (j = 1 is the most significant)."""
-        v = self.value
-        return int((v * (1 << j)) % 2 >= 1)
-
-    def digits(self, n: int) -> Tuple[int, ...]:
-        out = []
-        v = self.value
-        for _ in range(n):
-            v *= 2
-            b = int(v >= 1)
-            v -= b
-            out.append(b)
-        return tuple(out)
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.p, self.q)
 
     def is_dyadic(self) -> bool:
-        d = self.value.denominator
-        return d & (d - 1) == 0
+        """True iff q is a power of two: the point is a/2^l."""
+        return self.q & (self.q - 1) == 0
 
-    def to_dyadic(self) -> DyadicRational:
-        return DyadicRational.from_fraction(self.value)
+    def numerator_at(self, level: int) -> int:
+        """Integer a with this dyadic point = a/2^level; errors if there is none."""
+        if not self.is_dyadic():
+            raise ValueError(f"{self} is not dyadic")
+        own = self.q.bit_length() - 1
+        if level < own:
+            raise ValueError(f"level underflow: {self} not representable at level {level}")
+        return self.p << (level - own)
 
     def __str__(self) -> str:
-        v = self.value
-        return f"{v.numerator}/{v.denominator}" if v.denominator > 1 else str(v.numerator)
+        return f"{self.p}/{self.q}"
 
-    def __lt__(self, other) -> bool:
-        return self.value < _as_fraction(other)
-
-    def __le__(self, other) -> bool:
-        return self.value <= _as_fraction(other)
-
-
-def _as_fraction(x: PointLike) -> Fraction:
-    if isinstance(x, DyadicRational):
-        return x.as_fraction()
-    if isinstance(x, CirclePoint):
-        return x.value
-    if isinstance(x, str):
-        return CirclePoint.parse(x).value
-    return Fraction(x)
+    def __lt__(self, other: "CirclePoint") -> bool:
+        return self.p * other.q < other.p * self.q
 
 
 def as_point(x: PointLike) -> CirclePoint:
     if isinstance(x, CirclePoint):
         return x
-    return CirclePoint(_as_fraction(x))
+    if isinstance(x, str):
+        return CirclePoint.parse(x)
+    return CirclePoint(x)
+
+
+def _as_fraction(x: PointLike) -> Fraction:
+    """x as a `Fraction`; a `Fraction` or int is taken as it is, even outside [0,1)."""
+    if isinstance(x, (CirclePoint, str)):
+        return as_point(x).value
+    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
-# the xor operation and the tree metric
+# the xor operation and the tree metric, on dyadic points
 
 
-def xor_sub(y: DyadicRational, x: DyadicRational) -> DyadicRational:
+def xor_sub(y: CirclePoint, x: CirclePoint) -> CirclePoint:
     """Bitwise-XOR difference of binary expansions, padded to a common level."""
-    level = max(x.level, y.level)
-    a = x.numerator_at(level)
-    b = y.numerator_at(level)
-    return DyadicRational(a ^ b, level)
+    level = max(x.q, y.q).bit_length() - 1
+    return CirclePoint(x.numerator_at(level) ^ y.numerator_at(level), 1 << level)
 
 
-def tree_metric(x: DyadicRational, y: DyadicRational, level: int) -> int:
+def tree_metric(x: CirclePoint, y: CirclePoint, level: int) -> int:
     """Tree distance between leaves of the regular depth-`level` tree, by
     definition: the number of steps up from both leaves (one shift of each
     numerator) until they meet."""
@@ -210,14 +148,17 @@ def tree_metric(x: DyadicRational, y: DyadicRational, level: int) -> int:
     return steps
 
 
-def floor_log2(v: DyadicRational) -> int:
-    """floor(log2 v) from the bit position of the leading 1; exact, no floats."""
-    if v.numerator == 0:
+def floor_log2(v: CirclePoint) -> int:
+    """floor(log2 v) of a dyadic v from the bit position of the leading 1;
+    exact, no floats."""
+    if v.p == 0:
         raise ValueError("floor_log2 of zero")
-    return v.numerator.bit_length() - 1 - v.level
+    if not v.is_dyadic():
+        raise ValueError(f"{v} is not dyadic")
+    return v.p.bit_length() - v.q.bit_length()
 
 
-def tree_metric_formula(x: DyadicRational, y: DyadicRational, level: int) -> int:
+def tree_metric_formula(x: CirclePoint, y: CirclePoint, level: int) -> int:
     """Closed form level + 1 + floor(log2(y (+) x)); requires x != y."""
     if x == y:
         raise ValueError("coincident points: closed form undefined, use tree_metric")
@@ -227,11 +168,11 @@ def tree_metric_formula(x: DyadicRational, y: DyadicRational, level: int) -> int
 
 
 def common_prefix_length(x: PointLike, y: PointLike) -> int:
-    vx, vy = as_point(x).value, as_point(y).value
-    if vx == vy:
+    px, py = as_point(x), as_point(y)
+    if px == py:
         raise ValueError("coincident points")
     # remainders a/q, b/s; the next digit is 1 iff twice the remainder is >= 1
-    a, q, b, s = vx.numerator, vx.denominator, vy.numerator, vy.denominator
+    a, q, b, s = px.p, px.q, py.p, py.q
     l = 0
     while True:
         a, b = 2 * a, 2 * b
@@ -243,10 +184,9 @@ def common_prefix_length(x: PointLike, y: PointLike) -> int:
         l += 1
 
 
-def coarse_grain_distance(x: PointLike, y: PointLike) -> DyadicRational:
+def coarse_grain_distance(x: PointLike, y: PointLike) -> CirclePoint:
     """2^-(l+1) where l is the length of the common binary prefix of x and y."""
-    l = common_prefix_length(x, y)
-    return DyadicRational(1, l + 1)
+    return CirclePoint(1, 2 << common_prefix_length(x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -266,20 +206,6 @@ class StdInterval:
             raise ValueError(f"negative level {l}")
         if not 0 <= a < (1 << l):
             raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)")
-
-    @staticmethod
-    def parse(text: str) -> "StdInterval":
-        """Parses 'a/2^l' written with an explicit power-of-two denominator."""
-        s = text.strip()
-        if "/" not in s:
-            if s == "0":
-                return StdInterval(0, 0)
-            raise ValueError(f"cannot parse interval {text!r}")
-        num, den = s.split("/", 1)
-        d = int(den)
-        if d <= 0 or d & (d - 1):
-            raise ValueError(f"denominator of {text!r} is not a power of two")
-        return StdInterval(int(num), d.bit_length() - 1)
 
     @property
     def left(self) -> Fraction:
@@ -371,10 +297,8 @@ class DyadicPartition:
     def index_of(self, x: PointLike) -> int:
         """Slot of the interval holding x = p/q, by bisection on integers:
         [a/2^l, ...) starts at or before p/q iff a q <= p 2^l."""
-        v = _as_fraction(x)
-        p, q = v.numerator, v.denominator
-        if not 0 <= p < q:
-            raise ValueError(f"{v} is not in [0,1)")
+        pt = as_point(x)
+        p, q = pt.p, pt.q
         ivs = self.intervals
         lo, hi = 0, len(ivs) - 1
         while lo < hi:
@@ -395,11 +319,6 @@ class DyadicPartition:
     def __str__(self) -> str:
         return "{" + ", ".join(str(iv) for iv in self.intervals) + "}"
 
-    @staticmethod
-    def parse(text: str) -> "DyadicPartition":
-        body = text.strip().lstrip("{").rstrip("}")
-        return DyadicPartition(tuple(StdInterval.parse(p) for p in body.split(",")))
-
 
 TRIVIAL_PARTITION = DyadicPartition((StdInterval(0, 0),))
 
@@ -415,10 +334,6 @@ def check_regular_level(level: int, what: str = "level") -> None:
 def regular_partition(level: int) -> DyadicPartition:
     check_regular_level(level)
     return DyadicPartition(tuple(StdInterval(a, level) for a in range(1 << level)))
-
-
-def containing_interval(P: DyadicPartition, x: PointLike) -> StdInterval:
-    return P[P.index_of(x)]
 
 
 def is_refinement(P: DyadicPartition, Q: DyadicPartition) -> bool:
@@ -567,7 +482,7 @@ def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
 def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition:
     """Unique coarsest partition with at most one of the given points per
     interval; see `supporting_slots` for the construction."""
-    pts = [(v.numerator, v.denominator) for v in (as_point(x).value for x in points)]
+    pts = [(pt.p, pt.q) for pt in map(as_point, points)]
     if not pts:
         raise ValueError("empty tuple of points")
     check_point_order(pts)

@@ -333,9 +333,9 @@ def to_document(spec: ModelSpec) -> dict:
     return doc
 
 
-def load_model(document) -> ModelSpec:
-    """Validated ModelSpec from a JSON document (dict or JSON text)."""
-    doc = json.loads(document) if isinstance(document, str) else document
+def load_model(doc) -> ModelSpec:
+    """Validated ModelSpec from a parsed JSON document; text goes through
+    `parse_document(text, load_model)`."""
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
     for key in ("name", "kind"):

@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import treestate
-from .dyadic import (MAX_LEVEL, DyadicPartition, DyadicRational, LeafPair,
+from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
                      PointLike, StdInterval, check_regular_level,
                      common_refinement, identity_pairs, is_refinement,
                      nested_to_leaves, partition_to_nested, partition_to_tree,
@@ -46,10 +46,6 @@ class PLPiece:
     x: Fraction
     y: Fraction
     c: int
-
-
-def _is_dyadic(q: Fraction) -> bool:
-    return q.denominator & (q.denominator - 1) == 0
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class PiecewiseLinearMap:
         for i, p in enumerate(ps):
             if not (0 <= p.x < 1 and 0 <= p.y < 1):
                 raise ValueError("not a Thompson map: data outside [0,1)")
-            if not _is_dyadic(p.x) or not _is_dyadic(p.y):
+            if not (CirclePoint(p.x).is_dyadic() and CirclePoint(p.y).is_dyadic()):
                 raise ValueError("not a Thompson map: non-dyadic breakpoint")
             if not -ly <= p.c <= lx:
                 raise ValueError("not a Thompson map: slope exponent out of range")
@@ -398,7 +394,7 @@ def slope_right(f: ThompsonElement, x: PointLike) -> int:
     return to_piecewise(f).piece_at(_as_fraction(x)).c
 
 
-def schwarzian_measure(f: ThompsonElement) -> List[Tuple[DyadicRational, int]]:
+def schwarzian_measure(f: ThompsonElement) -> List[Tuple[CirclePoint, int]]:
     """Atomic measure at breakpoints with weights 2 (c_right - c_left).
 
     Elements of F contribute nothing at 0; rotations compare slopes across
@@ -410,11 +406,11 @@ def schwarzian_measure(f: ThompsonElement) -> List[Tuple[DyadicRational, int]]:
     if e.rotation != 0:
         jump = m.pieces[0].c - m.pieces[-1].c
         if jump:
-            out.append((DyadicRational.zero(), 2 * jump))
+            out.append((CirclePoint(0), 2 * jump))
     for prev, cur in zip(m.pieces, m.pieces[1:]):
         jump = cur.c - prev.c
         if jump:
-            out.append((DyadicRational.from_fraction(cur.x), 2 * jump))
+            out.append((CirclePoint(cur.x), 2 * jump))
     return out
 
 

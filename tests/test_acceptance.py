@@ -26,10 +26,9 @@ from treefield.correlator import (CorrelatorRequest, ipow, n_point, ope_terms,
                                   transformed_state_correlator,
                                   two_point_closed)
 from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
-                              DyadicRational, StdInterval,
-                              minimal_supporting_partition, partition_to_tree,
-                              regular_tree, supports, tree_metric,
-                              tree_metric_formula, xor_sub)
+                              StdInterval, minimal_supporting_partition,
+                              partition_to_tree, regular_tree, supports,
+                              tree_metric, tree_metric_formula, xor_sub)
 from treefield.fusion import fuse
 from treefield.models import degenerate_isometry, preset
 from treefield.spectral import build_channel, eigendecompose, scaling_dimension
@@ -293,16 +292,16 @@ def test_criterion_08_modular_invariance():
 @report(9, "tree metric: definition = closed form exhaustively to level 10")
 def test_criterion_09_tree_metric_suite():
     # the frozen worked example
-    x, y = DyadicRational(13, 5), DyadicRational(15, 5)
+    x, y = CirclePoint(13, 32), CirclePoint(15, 32)
     assert tree_metric(x, y, 5) == 2
     assert tree_metric_formula(x, y, 5) == 2
     # exhaustive agreement of definition and closed form for levels <= 10
     for level in range(1, 11):
         n = 1 << level
         for a in range(n):
-            xa = DyadicRational(a, level)
+            xa = CirclePoint(a, n)
             for b in range(a + 1, n):
-                yb = DyadicRational(b, level)
+                yb = CirclePoint(b, n)
                 assert tree_metric(xa, yb, level) == \
                     tree_metric_formula(xa, yb, level)
     # xor dominates the difference on 10^4 random pairs
@@ -310,8 +309,8 @@ def test_criterion_09_tree_metric_suite():
     for _ in range(10_000):
         level = int(rng.integers(1, 11))
         a, b = sorted(rng.integers(0, 1 << level, size=2))
-        xa, yb = DyadicRational(int(a), level), DyadicRational(int(b), level)
-        assert xor_sub(yb, xa).as_fraction() >= yb.as_fraction() - xa.as_fraction()
+        xa, yb = CirclePoint(int(a), 1 << level), CirclePoint(int(b), 1 << level)
+        assert xor_sub(yb, xa).value >= yb.value - xa.value
 
 
 @report(10, "minimal supporting partition: frozen example and brute-force "

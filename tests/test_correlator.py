@@ -330,6 +330,26 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     assert calls == {"index_of": 32}
 
 
+def test_vacuum_n_point_from_text_builds_no_fraction(qutrit, monkeypatch):
+    # an ASCII 'p/q' request reaches the evaluator as integer pairs: with
+    # `Fraction` refused inside the geometry and the correlator, parsing and
+    # evaluation still give the same value
+    import treefield.correlator
+    import treefield.dyadic
+    doc = {"positions": ["0/1", "3/16", "1/3", "2/4", "5/7", "12/15", "65535/65536"],
+           "labels": ["δ¹", "δ²"] * 3 + ["δ¹"]}
+    want = n_point(request_from_document(doc, qutrit), qutrit)
+    assert want != 0 and math.isfinite(abs(want))
+
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built on the vacuum n-point path")
+
+    for module in (treefield.dyadic, treefield.correlator):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
+    assert repr(n_point(request_from_document(doc, qutrit), qutrit)) == repr(want)
+
+
 def test_zero_weight_label_rejected():
     # copy isometry: E(X) = diag(X) has two zero eigenvalues
     m = np.zeros((4, 2), dtype=complex)

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
-                              DyadicPartition, DyadicRational, StdInterval,
-                              TRIVIAL_PARTITION,
+                              DyadicPartition, StdInterval, TRIVIAL_PARTITION,
                               as_point, caret, coarse_grain_distance,
                               common_prefix_length, common_refinement,
-                              containing_interval, fold_tree, is_refinement,
+                              fold_tree, is_refinement,
                               minimal_supporting_partition, nested_to_leaves,
                               partition_to_nested, partition_to_tree,
                               regular_partition, regular_tree,
@@ -19,7 +18,8 @@ from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
 
 
 def dy(a, l):
-    return DyadicRational(a, l)
+    """The dyadic point a/2^l."""
+    return CirclePoint(a, 1 << l)
 
 
 def test_xor_sub_worked_example():
@@ -103,25 +103,25 @@ def test_xor_dominates_difference():
         l = int(rng.integers(1, 11))
         a, b = sorted(rng.integers(0, 1 << l, size=2))
         x, y = dy(int(a), l), dy(int(b), l)
-        assert xor_sub(y, x).as_fraction() >= y.as_fraction() - x.as_fraction()
+        assert xor_sub(y, x).value >= y.value - x.value
 
 
 def test_coarse_grain_distance_standard_pair():
     # shared-caret standard dyadic pairs (even numerator): D = |x - y|
     for l, a in [(3, 2), (4, 6), (5, 20)]:
         x, y = dy(a, l), dy(a + 1, l)
-        assert coarse_grain_distance(x, y).as_fraction() == Fraction(1, 1 << l)
+        assert coarse_grain_distance(x, y).value == Fraction(1, 1 << l)
 
 
 def test_coarse_grain_distance_no_common_prefix():
-    assert coarse_grain_distance(dy(0, 0), dy(1, 1)).as_fraction() == Fraction(1, 2)
+    assert coarse_grain_distance(dy(0, 0), dy(1, 1)).value == Fraction(1, 2)
 
 
 def test_coarse_grain_distance_digit_stream():
     # 5/8 = 0.1010..., 11/16 = 0.1011...: common prefix 101 -> D = 2^-4
     assert common_prefix_length(Fraction(5, 8), Fraction(11, 16)) == 3
     d = coarse_grain_distance(Fraction(5, 8), Fraction(11, 16))
-    assert d.as_fraction() == Fraction(1, 16)
+    assert d.value == Fraction(1, 16)
     # non-dyadic points work exactly: 1/3 = 0.0101..., 1/4 = 0.0100...
     assert common_prefix_length(Fraction(1, 3), Fraction(1, 4)) == 3
 
@@ -277,11 +277,11 @@ def test_nested_document_shapes():
 
 
 def test_containing_interval():
-    assert containing_interval(TRIVIAL_PARTITION, Fraction(1, 3)) == StdInterval(0, 0)
+    assert TRIVIAL_PARTITION[TRIVIAL_PARTITION.index_of(Fraction(1, 3))] == StdInterval(0, 0)
     P = regular_partition(1)
-    assert containing_interval(P, Fraction(1, 2)) == StdInterval(1, 1)  # half-open
+    assert P[P.index_of(Fraction(1, 2))] == StdInterval(1, 1)  # half-open
     Q = DyadicPartition((StdInterval(0, 1), StdInterval(2, 2), StdInterval(3, 2)))
-    assert containing_interval(Q, Fraction(2, 3)) == StdInterval(2, 2)
+    assert Q[Q.index_of(Fraction(2, 3))] == StdInterval(2, 2)
 
 
 def test_points_outside_the_circle_are_refused():
@@ -289,7 +289,7 @@ def test_points_outside_the_circle_are_refused():
     with pytest.raises(ValueError, match=r"^3/2 is not in \[0,1\)$"):
         P.index_of(Fraction(3, 2))
     with pytest.raises(ValueError, match=r"^5/4 is not in \[0,1\)$"):
-        containing_interval(P, Fraction(5, 4))
+        P.index_of(Fraction(5, 4))
     with pytest.raises(ValueError, match=r"^-1/3 is not in \[0,1\)$"):
         supports(P, [Fraction(-1, 3), Fraction(1, 8)])
     with pytest.raises(ValueError, match=r"^1 is not in \[0,1\)$"):
@@ -299,7 +299,6 @@ def test_points_outside_the_circle_are_refused():
 
 def test_circle_point_range_check():
     half = Fraction(1, 2)
-    assert CirclePoint(half).value is half  # a Fraction is kept, not rebuilt
     assert CirclePoint(0).value == 0 and CirclePoint("2/4").value == half
     for v, shown in ((1, "1"), (Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3")):
         with pytest.raises(ValueError, match=rf"^{shown} is not in \[0,1\)$"):
@@ -312,30 +311,28 @@ def test_point_parsing_round_trip():
     assert CirclePoint.parse(str(p)).value == p.value
     b = CirclePoint.parse("0.01101")
     assert b.value == Fraction(13, 32)
-    d = DyadicRational.from_fraction(Fraction(13, 32))
-    assert d.to_binary_string() == "0.01101"
-    assert CirclePoint.parse(d.to_binary_string()).value == d.as_fraction()
+    assert b == dy(13, 5) and CirclePoint.parse(str(b)) == b
 
 
-def test_interval_parsing_round_trip():
-    iv = StdInterval.parse("13/32")
-    assert iv == StdInterval(13, 5)
-    assert StdInterval.parse(str(iv)) == iv
-    # the denominator carries the level: 2/4 is [1/2, 3/4)
-    assert StdInterval.parse("2/4") == StdInterval(2, 2)
-    with pytest.raises(ValueError, match="power of two"):
-        StdInterval.parse("1/3")
+def test_one_point_per_rational():
+    # every spelling of 1/2 gives the same reduced pair; str is always p/q
+    points = [CirclePoint.parse("1/2"), CirclePoint.parse("2/4"),
+              CirclePoint.parse("0.1"), CirclePoint(Fraction(1, 2)), CirclePoint(2, 4)]
+    for p in points:
+        assert (p.p, p.q) == (1, 2) and str(p) == "1/2"
+        assert p == points[0] and hash(p) == hash(points[0])
+    assert len(set(points)) == 1
+    for zero in (CirclePoint(0), CirclePoint.parse("0"), CirclePoint.parse("0/7"),
+                 CirclePoint(0, 8)):
+        assert str(zero) == "0/1" and zero == CirclePoint(0, 1)
+    assert CirclePoint(1, 3) < CirclePoint(1, 2) and not CirclePoint(1, 2) < CirclePoint(2, 4)
 
 
-def test_partition_parsing_round_trip():
-    P = minimal_supporting_partition([Fraction(1, 7), Fraction(2, 3), Fraction(5, 6)])
-    assert DyadicPartition.parse(str(P)) == P
-
-
-def test_circle_point_digits():
-    p = CirclePoint(Fraction(1, 7))
-    assert p.digits(6) == (0, 0, 1, 0, 0, 1)  # 1/7 = 0.001001...
-    assert p.digit(3) == 1
+def test_tree_metric_refuses_non_dyadic_points():
+    with pytest.raises(ValueError, match=r"^1/3 is not dyadic$"):
+        tree_metric(CirclePoint(1, 3), dy(1, 2), 4)
+    with pytest.raises(ValueError, match=r"^1/3 is not dyadic$"):
+        xor_sub(dy(1, 2), CirclePoint(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from treefield.models import (check_perfect, check_rotation, check_swap,
-                              degenerate_isometry, load_model, preset,
-                              resolve_model, to_document)
+                              degenerate_isometry, load_model, parse_document,
+                              preset, resolve_model, to_document)
 from treefield.spectral import Isometry3Box
 from treefield.thompson import generator, vacuum_invariance_check
 
@@ -164,12 +164,23 @@ def test_load_abstract_with_moments():
     fib = preset("fibonacci")
     doc = to_document(fib)
     doc["moments"] = [[1.0, 0.0], [0.25, 0.0]]
-    m = load_model(json.dumps(doc))
+    m = parse_document(json.dumps(doc), load_model)
     assert np.allclose(m.vacuum_moments, [1.0, 0.25])
     bad = dict(doc)
     bad["moments"] = [[1.0, 0.0]]
     with pytest.raises(ValueError, match="moments length"):
         load_model(bad)
+
+
+def test_model_text_goes_through_parse_document():
+    # deep nesting ends in one ValueError, not a RecursionError; text handed
+    # straight to load_model is not a document
+    deep = "[" * 200000 + "]" * 200000
+    with pytest.raises(ValueError, match=r"^document nested too deeply$"):
+        parse_document(deep, load_model)
+    for text in (deep, json.dumps(to_document(preset("fibonacci")))):
+        with pytest.raises(ValueError, match=r"^model document must be a JSON object$"):
+            load_model(text)
 
 
 def test_resolve_model_path(tmp_path):
