@@ -9,6 +9,7 @@ or ASCII aliases (d1, b2, a3, tau, ...).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 from typing import List, Optional
@@ -112,10 +113,20 @@ def _request(args, model: ModelSpec) -> co.CorrelatorRequest:
     return co.CorrelatorRequest.make(args.at, args.fields, model, state)
 
 
+def _finite_n_point(req: co.CorrelatorRequest, model: ModelSpec) -> complex:
+    """`n_point`, refused when the value is not finite; numpy's overflow
+    warnings are silenced, since the refusal reports them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = co.n_point(req, model)
+    if not cmath.isfinite(value):
+        raise ValueError("magnitude overflow: the correlator leaves double range")
+    return value
+
+
 def cmd_correlator(args) -> int:
     model = _model(args)
     req = _request(args, model)
-    value = co.n_point(req, model)
+    value = _finite_n_point(req, model)
     P = minimal_supporting_partition([i.position for i in req.insertions])
     if args.json:
         print(json.dumps({"value": [value.real, value.imag],
@@ -145,7 +156,7 @@ def cmd_oracle_diff(args) -> int:
     req = _request(args, model)
     if req.state is not None and not req.state.is_identity():
         raise ValueError("oracle-diff covers vacuum requests only")
-    value = co.n_point(req, model)
+    value = _finite_n_point(req, model)
     P = minimal_supporting_partition([i.position for i in req.insertions])
     t = treestate.LabelledTree(partition_to_tree(P), _oracle_ops(P, req, model))
     oracle = treestate.oracle_expectation(t, V)

@@ -2,22 +2,25 @@
 the tree vacuum, closed two-point forms, OPE term lists, smeared one-point
 expectations and staircase profiles.
 
-Every correlator -- vacuum or Thompson-transformed state, isometry or
-abstract model, point insertions or a smeared one-point sum -- goes through
-one evaluator, `_evaluate`: a fold of the partition (`dyadic.fold_tree`)
-through a product tensor, closed with the vacuum functional.  An abstract
-model supplies these in label space (f^{ab}_g and the vacuum moments), an
-isometry model in matrix units (see `ModelSpec.evaluation`).  The matrix
-ascent and the dense oracle in `treestate` are its references.
+Every point correlator -- vacuum or Thompson-transformed state, isometry
+or abstract model -- goes through one evaluator, `_evaluate`: a fold of the
+occupied leaves through a product tensor, closed with the vacuum
+functional.  It fuses neighbouring insertions at the caret of their common
+binary prefix, n-1 fusions in all, and lifts each child to that caret with
+one lone-child map per level.  An abstract model supplies these in label
+space (f^{ab}_g and the vacuum moments), an isometry model in matrix units
+(see `ModelSpec.evaluation`).  The matrix ascent and the dense oracle in
+`treestate` are its references.  The smeared one-point sum occupies every
+leaf, so it folds its partition (`dyadic.fold_tree`) with a linear join.
 
 Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
 logarithm branch.  A request keeps its positions as `CirclePoint`s, integer
-pairs (p, q), and the vacuum n-point hands those pairs to
-`dyadic.supporting_slots`, which gives the minimal supporting partition and
-each insertion's slot in it; no `Fraction` is built on that path.  Slots
-are found by `DyadicPartition.index_of` bisection only on an explicit
-`partition=` and on the transformed path's Q.
+pairs (p, q), and the vacuum n-point reads its occupied leaves from the
+first 64 binary digits of each, (p << 64) // q: no `Fraction`, interval or
+partition is built on that path.  Slots are found by
+`DyadicPartition.index_of` bisection only on an explicit `partition=` and
+on the transformed path's Q.
 """
 
 from __future__ import annotations
@@ -30,11 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import thompson as th
-from .dyadic import (CirclePoint, DyadicPartition, PointLike, StdInterval,
-                     as_point, check_point_order, check_regular_level,
-                     common_prefix_length, common_refinement, fold_tree,
-                     is_refinement, minimal_supporting_partition,
-                     regular_partition, supporting_slots)
+from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, PointLike,
+                     StdInterval, as_point, check_point_order,
+                     check_regular_level, common_prefix_length,
+                     common_refinement, fold_tree, is_refinement,
+                     minimal_supporting_partition, regular_partition)
 from .models import ModelSpec
 from .spectral import scaling_dimension
 
@@ -107,48 +110,97 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 # ---------------------------------------------------------------------------
 # the correlator evaluator and the vacuum n-point
 
+# an occupied leaf (a, l, vec): the interval [a/2^l, (a+1)/2^l) holds vec
+Leaf = Tuple[int, int, np.ndarray]
+
 
 def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
-                   model: ModelSpec,
-                   slots: Optional[Sequence[int]] = None) -> Dict[int, np.ndarray]:
+                   model: ModelSpec) -> Dict[int, np.ndarray]:
     """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
-    mu^a at that interval.  Each insertion's slot is read from `slots` when
-    given (as `supporting_slots` returns them), else found by bisection."""
+    mu^a at that interval; each insertion's slot is found by bisection."""
     lam = model.eigenvalues
     basis = model.evaluation.basis
-    if slots is None:
-        slots = [P.index_of(ins.position) for ins in insertions]
     vecs: Dict[int, np.ndarray] = {}
-    for ins, k in zip(insertions, slots):
+    for ins in insertions:
+        k = P.index_of(ins.position)
         if k in vecs:
             raise ValueError("partition does not support the insertions")
         vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
     return vecs
 
 
-def _evaluate(P: DyadicPartition, vecs: Dict[int, np.ndarray],
-              model: ModelSpec) -> complex:
+def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
+    """The occupied leaves of P, left to right: (a, l, vec) for every slot
+    k holding `vecs[k]`, with P[k] = [a/2^l, (a+1)/2^l)."""
+    return [(P[k].left_numerator, P[k].level, vecs[k]) for k in sorted(vecs)]
+
+
+def _vacuum_leaves(req: CorrelatorRequest, model: ModelSpec) -> List[Leaf]:
+    """The occupied leaves of the request's minimal supporting partition,
+    straight from the integer pairs (p, q): X = (p << 64) // q holds the
+    first 64 binary digits of p/q, neighbours share c = 64 - bit_length(X
+    xor X') of them, and an insertion sits one level below the deeper of
+    its two neighbour carets.  Neighbours that share all 64 digits would
+    need a deeper partition."""
+    X = [(p << MAX_LEVEL) // q for p, q in req.point_pairs()]
+    carets = [-1]
+    for x, y in zip(X, X[1:]):
+        if x == y:
+            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
+        carets.append(MAX_LEVEL - (x ^ y).bit_length())
+    carets.append(-1)
+    lam = model.eigenvalues
+    basis = model.evaluation.basis
+    leaves: List[Leaf] = []
+    for i, (x, ins) in enumerate(zip(X, req.insertions)):
+        l = max(carets[i], carets[i + 1]) + 1
+        leaves.append((x >> (MAX_LEVEL - l), l,
+                       ipow(lam[ins.label], -l) * basis[:, ins.label]))
+    return leaves
+
+
+def _evaluate(leaves: Sequence[Leaf], model: ModelSpec) -> complex:
     """The correlator evaluator, for every model kind and state.
 
-    Folds P (`dyadic.fold_tree`): slot k holds `vecs[k]`, coordinates in the
-    evaluation basis (`ModelSpec.evaluation`), or nothing; a caret fuses two
-    vectors with the product tensor, a lone child ascends with the left or
-    right lone-child map, and the root closes with the vacuum functional.
-    Label space for abstract models, matrix units for isometry models."""
+    `leaves` are the occupied leaves (a, l, vec) left to right, vec in the
+    evaluation basis (`ModelSpec.evaluation`).  With A = a << (L - l) a
+    leaf's numerator at the deepest level L, neighbours meet at the caret
+    of level L - bit_length(A xor A'), and one stack pass folds the
+    Cartesian tree of those levels (Vuillemin 1980): each caret fuses its
+    two children with the product tensor, after lifting each from its own
+    level to the caret's by one lone-child map per level, the left map
+    where its binary digit at that level is 0 and the right map where it
+    is 1.  The root is lifted to level 0 and closed with the vacuum
+    functional.  Label space for abstract models, matrix units for
+    isometry models."""
+    if not leaves:
+        return 1.0 + 0.0j
     ev = model.evaluation
     n = len(ev.closing)
+    left_map, right_map, pair = ev.left, ev.right, ev.pair
+    L = max(l for _, l, _ in leaves)
 
-    def join(lv: Optional[np.ndarray], rv: Optional[np.ndarray]) -> Optional[np.ndarray]:
-        if rv is None:
-            return None if lv is None else lv @ ev.left
-        if lv is None:
-            return rv @ ev.right
-        return rv @ (lv @ ev.pair).reshape(n, n)
+    def lift(A: int, l: int, v: np.ndarray, level: int) -> np.ndarray:
+        while l > level:
+            v = v @ (right_map if A >> (L - l) & 1 else left_map)
+            l -= 1
+        return v
 
-    root = fold_tree(P, vecs.get, join)
-    if root is None:
-        return 1.0 + 0.0j
-    return complex(root @ ev.closing)
+    As = [a << (L - l) for a, l, _ in leaves]
+    carets = [L - (x ^ y).bit_length() for x, y in zip(As, As[1:])]
+    # stack: (A, l, v, c) per finished subtree, rooted at level l and holding
+    # v, with c the level of the caret joining it to its right neighbour;
+    # A is the numerator of any leaf inside, all of which agree down to l.
+    # The last leaf gets caret -1, above the root, so everything folds.
+    stack: List[Tuple[int, int, np.ndarray, int]] = []
+    for A, (_, l, v), c in zip(As, leaves, carets + [-1]):
+        while stack and stack[-1][3] > c:
+            lA, ll, lv, lc = stack.pop()
+            v = lift(A, l, v, lc + 1) @ (lift(lA, ll, lv, lc + 1) @ pair).reshape(n, n)
+            A, l = lA, lc
+        stack.append((A, l, v, c))
+    [(A, l, v, _)] = stack
+    return complex(lift(A, l, v, 0) @ ev.closing)
 
 
 def n_point(req: CorrelatorRequest, model: ModelSpec,
@@ -163,12 +215,13 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
         if partition is not None:
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
-    P, slots = supporting_slots(req.point_pairs())
-    if partition is not None:
-        if not is_refinement(P, partition):
-            raise ValueError("partition does not refine the minimal supporting partition")
-        P, slots = partition, None
-    return _evaluate(P, _label_vectors(P, req.insertions, model, slots), model)
+    if partition is None:
+        return _evaluate(_vacuum_leaves(req, model), model)
+    msp = minimal_supporting_partition([ins.position for ins in req.insertions])
+    if not is_refinement(msp, partition):
+        raise ValueError("partition does not refine the minimal supporting partition")
+    return _evaluate(_occupied(partition, _label_vectors(partition, req.insertions, model)),
+                     model)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +410,7 @@ def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     positions = [ins.position for ins in req.insertions]
     Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
     P, vecs = th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model))
-    return _evaluate(P, vecs, model)
+    return _evaluate(_occupied(P, vecs), model)
 
 
 def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,

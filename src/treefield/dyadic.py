@@ -18,10 +18,11 @@ pair lists, `_compose_pairs`, composes Thompson elements, pulls a partition
 back through one, and gives the common refinement of two partitions as the
 domain of id_P o id_Q, all on integers.  The supporting-partition descent,
 the point-order check and `index_of` compare points by
-cross-multiplication; `supporting_slots`, the descent itself, returns the
-partition together with each point's slot, so a caller that has it needs
-no `index_of` bisection.  `Fraction` remains only in `is_refinement` and at
-the API edges (`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`).
+cross-multiplication.  Point correlators fold no partition: their
+evaluator works on occupied leaves (`correlator._evaluate`), and the vacuum
+correlator reads those straight from the points' binary digits.
+`Fraction` remains only in `is_refinement` and at the API edges
+(`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`).
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
 """
@@ -481,35 +482,24 @@ def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
 
 def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition:
     """Unique coarsest partition with at most one of the given points per
-    interval; see `supporting_slots` for the construction."""
+    interval.
+
+    Construction descends from [0,1), splitting every interval that still
+    holds two or more points; the intervals that hold at most one are
+    appended left to right.  p/q lies left of the midpoint (2a+1)/2^(l+1)
+    of [a/2^l, (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an interval's
+    points are an index range of the sorted tuple, split by bisection at
+    that test.
+    """
     pts = [(pt.p, pt.q) for pt in map(as_point, points)]
     if not pts:
         raise ValueError("empty tuple of points")
     check_point_order(pts)
-    return supporting_slots(pts)[0]
-
-
-def supporting_slots(pts: Sequence[Tuple[int, int]]) -> Tuple[DyadicPartition, List[int]]:
-    """The minimal supporting partition of the points p/q, given as integer
-    pairs (p, q) in strictly increasing order (`check_point_order`), and the
-    slot of each point in it.
-
-    Construction descends from [0,1), splitting every interval that still
-    holds two or more points; the intervals that hold at most one are
-    appended left to right, so a point's slot is the length of the output
-    when its interval is appended.  p/q lies left of the midpoint
-    (2a+1)/2^(l+1) of [a/2^l, (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an
-    interval's points are an index range of the sorted tuple, split by
-    bisection at that test.
-    """
     out: List[StdInterval] = []
-    slots: List[int] = []
     stack = [(0, 0, 0, len(pts))]  # (a, l, lo, hi): pts[lo:hi] lie in [a/2^l, (a+1)/2^l)
     while stack:
         a, l, lo, hi = stack.pop()
         if hi - lo <= 1:
-            if hi > lo:
-                slots.append(len(out))
             out.append(StdInterval(a, l))
             continue
         if l >= MAX_LEVEL:
@@ -526,4 +516,4 @@ def supporting_slots(pts: Sequence[Tuple[int, int]]) -> Tuple[DyadicPartition, L
                 top = mid
         stack.append((m, l, k, hi))
         stack.append((2 * a, l, lo, k))
-    return DyadicPartition(tuple(out)), slots
+    return DyadicPartition(tuple(out))

@@ -8,10 +8,11 @@ omega(M) = (1/d) tr(Phi(t)^dag M Phi(t)).  The pair-rooted variant closes
 the top caret with the maximally entangled pair instead; it carries the
 Thompson vacuum-invariance check.  `oracle_expectation` is the only
 full-state path and is hard capped.  These engines walk a built `BinaryTree`
-(`dyadic.partition_to_tree`) on purpose: the evaluator folds its partition
-without building one (`dyadic.fold_tree`), and a reference that shared the
-evaluator's traversal would share its faults.  They are the only code that
-walks a `BinaryTree`; the Thompson layer reads and writes leaf pairs only.
+(`dyadic.partition_to_tree`) on purpose: the evaluator is a fold of the
+occupied leaves, fusing neighbours at their common-prefix carets without
+building a tree, and a reference that shared the evaluator's traversal
+would share its faults.  They are the only code that walks a
+`BinaryTree`; the Thompson layer reads and writes leaf pairs only.
 """
 
 from __future__ import annotations

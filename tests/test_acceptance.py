@@ -21,14 +21,16 @@ from qutrit_table import expected_outputs
 from test_correlator import oracle_value
 from treefield import thompson as th
 from treefield import treestate
-from treefield.correlator import (CorrelatorRequest, ipow, n_point, ope_terms,
-                                  regular_two_point, transformed_correlator,
+from treefield.correlator import (CorrelatorRequest, _evaluate, ipow, n_point,
+                                  ope_terms, regular_two_point,
+                                  transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed)
 from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
                               StdInterval, minimal_supporting_partition,
                               partition_to_tree, regular_tree, supports,
-                              tree_metric, tree_metric_formula, xor_sub)
+                              tree_metric, tree_metric_formula,
+                              tree_to_partition, xor_sub)
 from treefield.fusion import fuse
 from treefield.models import degenerate_isometry, preset
 from treefield.spectral import build_channel, eigendecompose, scaling_dimension
@@ -167,16 +169,27 @@ def test_criterion_05_oracle_equivalence():
     n_labels = 9
     pair_a = np.repeat(mus, n_labels, axis=0)
     pair_b = np.tile(mus, (n_labels, 1, 1))
+    # the production evaluator on P's occupied leaves: every label alone, and
+    # for a pair fixed random combinations u, w of the labels at the left and
+    # right leaf (the value is bilinear in them)
+    basis = QUTRIT.evaluation.basis
+    rng = np.random.default_rng(5)
+    u, w = rng.normal(size=(2, n_labels)) + 1j * rng.normal(size=(2, n_labels))
     shapes = 0
     for tree in all_tree_shapes(8):
         shapes += 1
         n = tree.leaf_count()
+        P = tree_to_partition(tree)
         phi = treestate.isometry_matrix(tree, V)
         T = phi.reshape((3,) * n + (3,))
         for p in range(n):
             engine = treestate.vacuum_expectation_batch(tree, V, {p: mus})
             oracle = np.einsum("lab,ab->l", mus, transfer_single(T, n, p)) / 3
             assert np.max(np.abs(engine - oracle)) <= 1e-10
+            leaf = (P[p].left_numerator, P[p].level)
+            production = [_evaluate([(*leaf, basis[:, a])], QUTRIT)
+                          for a in range(n_labels)]
+            assert np.max(np.abs(production - oracle)) <= 1e-10
         for p in range(n):
             for q in range(p + 1, n):
                 engine = treestate.vacuum_expectation_batch(
@@ -184,6 +197,10 @@ def test_criterion_05_oracle_equivalence():
                 m2 = transfer_double(T, n, p, q)
                 oracle = np.einsum("xab,ycd,abcd->xy", mus, mus, m2).ravel() / 3
                 assert np.max(np.abs(engine - oracle)) <= 1e-10
+                production = _evaluate([(P[p].left_numerator, P[p].level, basis @ u),
+                                        (P[q].left_numerator, P[q].level, basis @ w)],
+                                       QUTRIT)
+                assert abs(production - u @ oracle.reshape(9, 9) @ w) <= 1e-10
     assert shapes == 626  # catalan numbers summed over 1..8 leaves
 
     # closed two-point forms against engine and oracle on all dyadic pairs

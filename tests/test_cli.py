@@ -1,3 +1,4 @@
+import cmath
 import contextlib
 import io
 import json
@@ -6,12 +7,15 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treefield import correlator as co
 from treefield.cli import main
 from treefield.models import preset, to_document
 
@@ -497,6 +501,31 @@ def test_correlator_golden_stdout(capsys, tmp_path, argv, code, out, err):
             request.write_text(json.dumps(arg), encoding="utf-8")
     argv = [str(request) if isinstance(arg, dict) else arg for arg in argv]
     assert run(capsys, *argv) == (code, out, err)
+
+
+# two n = 256 delta-sector requests whose float evaluation leaves double
+# range and comes out as nan+nanj
+CENSUS_OVERFLOW = Path(__file__).with_name("census_overflow.json")
+
+
+def test_non_finite_correlator_is_refused(capsys, tmp_path):
+    # the library returns the nan; the CLI refuses it in one error line,
+    # with exit 1 and no numpy warning
+    model = preset("qutrit")
+    docs = json.loads(CENSUS_OVERFLOW.read_text(encoding="utf-8"))
+    assert len(docs) == 2
+    for doc in docs:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cmath.isnan(co.n_point(co.request_from_document(doc, model), model))
+        request = tmp_path / "request.json"
+        request.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("correlator", "oracle-diff"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = run(capsys, command, "--model", "qutrit", "--request", str(request))
+            assert result == (1, "", "error: magnitude overflow: the correlator "
+                                     "leaves double range\n")
+            assert caught == []
 
 
 def test_slope_exponent_bounded_before_power(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -6,19 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_dyadic import deep_partitions
 from treefield import thompson as th
 from treefield import treestate
-from treefield.correlator import (CorrelatorRequest, FieldInsertion, ipow,
-                                  n_point, ope_terms, regular_two_point,
+from treefield.correlator import (CorrelatorRequest, FieldInsertion,
+                                  _evaluate, _occupied, ipow, n_point,
+                                  ope_terms, regular_two_point,
                                   request_from_document, smeared_expectation,
                                   staircase_csv, staircase_samples,
                                   transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed, two_point_terms)
-from treefield.dyadic import (CirclePoint, DyadicPartition, StdInterval,
-                              as_point, common_refinement,
-                              minimal_supporting_partition, partition_to_tree,
-                              regular_partition)
+from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
+                              StdInterval, as_point, common_refinement,
+                              fold_tree, minimal_supporting_partition,
+                              partition_to_tree, regular_partition)
 from treefield.models import ModelSpec, check_swap, load_model, preset
 from treefield.spectral import Isometry3Box
 
@@ -88,6 +91,39 @@ def weighted_ops(P, req, model):
         k = P.index_of(ins.position)
         ops[k] = ipow(lam[ins.label], -P[k].level) * model.spectral.right_ops[ins.label]
     return ops
+
+
+def fold_reference(P, vecs, model):
+    """The partition-folding evaluator, the reference of `_evaluate`: every
+    interval of P is folded (`dyadic.fold_tree`), empty siblings included;
+    slot k holds `vecs[k]` or nothing, and a lone child ascends with the
+    left or right lone-child map."""
+    ev = model.evaluation
+    n = len(ev.closing)
+
+    def join(lv, rv):
+        if rv is None:
+            return None if lv is None else lv @ ev.left
+        if lv is None:
+            return rv @ ev.right
+        return rv @ (lv @ ev.pair).reshape(n, n)
+
+    root = fold_tree(P, vecs.get, join)
+    if root is None:
+        return 1.0 + 0.0j
+    return complex(root @ ev.closing)
+
+
+def fold_n_point(req, model):
+    """Vacuum n-point by the reference route: the supporting-partition
+    descent, slots by bisection, weighted vectors, the partition fold."""
+    P = minimal_supporting_partition([ins.position for ins in req.insertions])
+    lam, basis = model.eigenvalues, model.evaluation.basis
+    vecs = {}
+    for ins in req.insertions:
+        k = P.index_of(ins.position)
+        vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
+    return fold_reference(P, vecs, model)
 
 
 def oracle_value(req, model, partition=None):
@@ -294,9 +330,9 @@ def test_property_request_order_check_matches_fraction_order(qutrit, points):
 
 
 def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
-    # after parsing, the vacuum path runs on integer pairs: no interval
-    # endpoint is built as a Fraction, and the descent's slots are used
-    # without bisecting for them again
+    # after parsing, the vacuum path runs on integer pairs: it builds no
+    # interval, no partition and no interval endpoint as a Fraction, and
+    # bisects for no slot
     dyadic = {Fraction(k * 4093 % 65536, 65536) for k in range(1, 17)}
     odd = {Fraction(k, 2 * k + 1) for k in range(1, 17)}
     doc = {"positions": [str(x) for x in sorted(dyadic | odd)],
@@ -317,9 +353,15 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
 
     monkeypatch.setattr(DyadicPartition, "index_of",
                         counted("index_of", DyadicPartition.index_of))
+
+    def refuse_built(self):
+        raise AssertionError(f"{type(self).__name__} built on the vacuum path")
+
     with monkeypatch.context() as m:
         m.setattr(StdInterval, "left", property(refuse))
         m.setattr(StdInterval, "right", property(refuse))
+        m.setattr(StdInterval, "__post_init__", refuse_built)
+        m.setattr(DyadicPartition, "__post_init__", refuse_built)
         req = request_from_document(doc, qutrit)
         assert n_point(req, qutrit) == want
     assert calls == {"index_of": 0}
@@ -328,6 +370,72 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     msp = minimal_supporting_partition([ins.position for ins in req.insertions])
     assert repr(n_point(req, qutrit, partition=msp)) == repr(want)
     assert calls == {"index_of": 32}
+
+
+@functools.lru_cache(maxsize=None)
+def evaluator_models():
+    """The qutrit (SWAP-symmetric, d = 3) and two models without SWAP
+    symmetry, d = 2 and d = 3, whose left and right lone-child maps differ."""
+    return (preset("qutrit"), generic_model(1), generic_model(2, d=3))
+
+
+def outcome(fn, *args):
+    """repr of the value, or the error message."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150)
+@given(deep_partitions(), st.data())
+def test_property_leaf_evaluator_matches_the_partition_fold(P, data):
+    # random partitions to level 64, random occupied slots holding random
+    # vectors: the fold of the occupied leaves gives the partition fold's bits
+    model = evaluator_models()[data.draw(st.integers(0, 2))]
+    slots = data.draw(st.sets(st.integers(0, len(P) - 1), max_size=12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(model.evaluation.closing)
+    vecs = {k: rng.normal(size=n) + 1j * rng.normal(size=n) for k in sorted(slots)}
+    assert repr(_evaluate(_occupied(P, vecs), model)) == repr(fold_reference(P, vecs, model))
+
+
+@st.composite
+def close_requests(draw):
+    """Up to 12 points p/q, and up to two of them with a neighbour added
+    2^-63, 2^-64 or 2^-65 to the right."""
+    points = set(draw(st.lists(RATIONALS, min_size=1, max_size=12)))
+    for x in draw(st.lists(st.sampled_from(sorted(points)), max_size=2)):
+        y = x + Fraction(1, 1 << draw(st.sampled_from([63, 64, 65])))
+        if y < 1:
+            points.add(y)
+    return sorted(points)
+
+
+@settings(max_examples=150)
+@given(close_requests(), st.data())
+def test_property_vacuum_leaves_match_the_partition_fold(points, data):
+    # the leaves read from the points' digits against the supporting-partition
+    # descent and its fold: the same bits, or the same refusal at level 64
+    model = evaluator_models()[data.draw(st.integers(0, 2))]
+    labels = [l for l in range(len(model.labels)) if not model.zero_weight[l]]
+    req = CorrelatorRequest.make(
+        points, data.draw(st.lists(st.sampled_from(labels), min_size=len(points),
+                                   max_size=len(points))), model)
+    assert outcome(n_point, req, model) == outcome(fold_n_point, req, model)
+
+
+def test_vacuum_leaves_at_the_level_cap(qutrit):
+    # neighbours 2^-63 or 2^-64 apart fit under the level cap; 2^-65 apart
+    # they share 64 digits, unless they straddle a coarse boundary such as 1/2
+    refused = f"ValueError: maximum partition level {MAX_LEVEL} exceeded"
+    cases = [(x, k, k == 65) for x in (Fraction(0), Fraction(1, 3)) for k in (63, 64, 65)]
+    cases.append((Fraction(1, 2) - Fraction(1, 1 << 65), 65, False))
+    for x, k, too_deep in cases:
+        req = CorrelatorRequest.make([x, x + Fraction(1, 1 << k)], ["δ¹", "δ²"], qutrit)
+        got = outcome(n_point, req, qutrit)
+        assert got == outcome(fold_n_point, req, qutrit)
+        assert (got == refused) == too_deep
 
 
 def test_vacuum_n_point_from_text_builds_no_fraction(qutrit, monkeypatch):

@@ -12,9 +12,9 @@ from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
                               fold_tree, is_refinement,
                               minimal_supporting_partition, nested_to_leaves,
                               partition_to_nested, partition_to_tree,
-                              regular_partition, regular_tree,
-                              supporting_slots, supports, tree_metric,
-                              tree_metric_formula, tree_to_partition, xor_sub)
+                              regular_partition, regular_tree, supports,
+                              tree_metric, tree_metric_formula,
+                              tree_to_partition, xor_sub)
 
 
 def dy(a, l):
@@ -453,7 +453,7 @@ def test_property_minimal_supporting_partition(points):
     P = minimal_supporting_partition(pts)
     slots = [ref_index_of(P, x) for x in pts]
     assert len(set(slots)) == len(slots)  # supports the points
-    assert supporting_slots([(x.numerator, x.denominator) for x in pts]) == (P, slots)
+    assert [P.index_of(x) for x in pts] == slots
     # coarsest: every caret whose children are both leaves holds two points
     for a, b in zip(P, P.intervals[1:]):
         if a.level == b.level and a.left_numerator % 2 == 0 \
