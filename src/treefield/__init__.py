@@ -17,10 +17,9 @@ from .spectral import (AscendingChannel, Isometry3Box, SpectralData,
 from .fusion import (FusionRing, FusionTensor, build_ring, fuse,
                      fusion_coefficients, star_product)
 from .treestate import LabelledTree, oracle_expectation, vacuum_expectation
-from .thompson import (PiecewiseLinearMap, ThompsonElement, compose, find_good,
-                       from_piecewise, generator, good_partition, parse_word,
-                       reduce, schwarzian_measure, slope_right, to_piecewise,
-                       vacuum_invariance_check)
+from .thompson import (ThompsonElement, compose, find_good, generator,
+                       good_partition, parse_word, reduce, schwarzian_measure,
+                       slope_right, vacuum_invariance_check)
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      load_model, preset)
 from .correlator import (CorrelatorRequest, FieldInsertion, n_point, ope_terms,

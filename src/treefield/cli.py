@@ -19,8 +19,7 @@ import numpy as np
 from . import correlator as co
 from . import thompson as th
 from . import treestate
-from .dyadic import (DyadicPartition, as_point, minimal_supporting_partition,
-                     partition_to_tree)
+from .dyadic import DyadicPartition, minimal_supporting_partition, partition_to_tree
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      parse_document, resolve_model, to_document)
 from .spectral import scaling_dimension
@@ -204,11 +203,10 @@ def cmd_thompson(args) -> int:
     if args.action == "apply":
         if len(args.args) < 2:
             raise ValueError("thompson apply takes a word and at least one point")
-        f = th.to_piecewise(th.parse_word(args.args[0]))
+        f = th.parse_word(args.args[0])
         for point in args.args[1:]:
-            y = f(as_point(point).value)
-            print(f"{point} -> {y.numerator}/{y.denominator}" if y.denominator > 1
-                  else f"{point} -> {y.numerator}")
+            y = f(point)
+            print(f"{point} -> {y}" if y.q > 1 else f"{point} -> {y.p}")
         return 0
     raise ValueError(f"unknown thompson action {args.action!r}")
 

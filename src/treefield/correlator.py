@@ -421,19 +421,18 @@ def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     The factor lambda^{c} equals (df/dz)^{-h} evaluated branch-free; it must
     agree with the direct transformed-state evaluation.
     """
-    m = th.to_piecewise(th.reduce(f))
-    inv = m.inverse()
+    e = th.reduce(f)
+    inv = e.inverse()
     lam = model.eigenvalues
     factor = 1.0 + 0.0j
-    pulled: List[Tuple[Fraction, int]] = []
+    pulled: List[Tuple[CirclePoint, int]] = []
     for ins in req.insertions:
-        xj = inv(ins.position.value)
-        factor *= ipow(lam[ins.label], m.piece_at(xj).c)  # right slope at xj
+        xj = inv(ins.position)
+        factor *= ipow(lam[ins.label], th.slope_right(e, xj))
         pulled.append((xj, ins.label))
     pulled.sort(key=lambda t: t[0])
     for (x1, _), (x2, _) in zip(pulled, pulled[1:]):
         if x1 == x2:
             raise ValueError("coincident insertions after pullback")
-    base = CorrelatorRequest(tuple(
-        FieldInsertion(CirclePoint(x), lab) for x, lab in pulled))
+    base = CorrelatorRequest(tuple(FieldInsertion(x, lab) for x, lab in pulled))
     return complex(factor * n_point(base, model))

@@ -21,8 +21,9 @@ the point-order check and `index_of` compare points by
 cross-multiplication.  Point correlators fold no partition: their
 evaluator works on occupied leaves (`correlator._evaluate`), and the vacuum
 correlator reads those straight from the points' binary digits.
-`Fraction` remains only in `is_refinement` and at the API edges
-(`CirclePoint.value`, `StdInterval.left`, `.right`, `.width`).
+`Fraction` remains only in `is_refinement` and at the API edges: reading a
+`Fraction`, an int or a decimal into a `CirclePoint`, and `CirclePoint.value`,
+`StdInterval.left`, `.right` and `.width`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
 """
@@ -117,13 +118,6 @@ def as_point(x: PointLike) -> CirclePoint:
     if isinstance(x, str):
         return CirclePoint.parse(x)
     return CirclePoint(x)
-
-
-def _as_fraction(x: PointLike) -> Fraction:
-    """x as a `Fraction`; a `Fraction` or int is taken as it is, even outside [0,1)."""
-    if isinstance(x, (CirclePoint, str)):
-        return as_point(x).value
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Thompson's groups F and T as reduced tree-pair fractions with an exact
-piecewise-linear map view.
+"""Thompson's groups F and T as reduced tree-pair fractions acting on the
+circle through their integer leaf pairs.
 
 An element is stored as its integer leaf pairs (a, l, b, m) in domain order
 (`dyadic.LeafPair`): the domain leaf [a/2^l, (a+1)/2^l) maps affinely onto
-the image leaf [b/2^m, (b+1)/2^m).  As a tree pair it maps domain leaf i
+the image leaf [b/2^m, (b+1)/2^m), one affine piece of slope 2^(l-m)
+(Cannon, Floyd and Parry, section 1).  As a tree pair it maps domain leaf i
 onto range leaf (i + rotation) mod n; rotation 0 gives F.  A product is one
 pass of the merge walk `dyadic._compose_pairs` over two pair lists, and the
 same walk pulls a partition of the range back into the domain (it also
@@ -11,11 +12,12 @@ gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
 sibling pairs, so reduced pairs are canonical: equal group elements have
 identical reduced pairs.  The generators are a literal table of pairs;
 tree-pair documents go straight between nested lists and (a, l) leaves
-(`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`).  A `BinaryTree`
-is built only for the `treestate` matrix references under the transformed
-expectation and the vacuum-invariance check.  The exact `Fraction`
-piecewise form serves point evaluation, slopes, breakpoint tables and the
-check of the integer algebra.
+(`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`), and breakpoint
+tables are split into leaves on integers.  Point evaluation, slopes and the
+Schwarzian measure read the pairs: a point p/q is located by bisection over
+the domain leaves, with no `Fraction`.  A `BinaryTree` is built only for the
+`treestate` matrix references under the transformed expectation and the
+vacuum-invariance check.
 """
 
 from __future__ import annotations
@@ -28,114 +30,11 @@ import numpy as np
 
 from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
-                     PointLike, StdInterval, check_regular_level,
+                     PointLike, StdInterval, as_point, check_regular_level,
                      common_refinement, identity_pairs, is_refinement,
                      nested_to_leaves, partition_to_nested, partition_to_tree,
-                     regular_partition, _as_fraction, _compose_pairs)
+                     regular_partition, _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
-
-
-# ---------------------------------------------------------------------------
-# piecewise-linear view
-
-
-@dataclass(frozen=True)
-class PLPiece:
-    """Affine piece f(t) = y + 2^c (t - x) for t in [x, next piece's x)."""
-
-    x: Fraction
-    y: Fraction
-    c: int
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
-    """Orientation-preserving PL bijection of the circle [0,1) with dyadic
-    breakpoints and power-of-two slopes; values are taken mod 1."""
-
-    pieces: Tuple[PLPiece, ...]
-
-    def __post_init__(self):
-        ps = tuple(self.pieces)
-        if not ps or ps[0].x != 0:
-            raise ValueError("not a Thompson map: pieces must start at 0")
-        # every image width 2^c (x_{i+1} - x_i) lies in [2^-ly, 1], so a
-        # valid c lies in [-ly, lx]; checked before 2^c is computed
-        lx = max(p.x.denominator for p in ps).bit_length() - 1
-        ly = max(p.y.denominator for p in ps).bit_length() - 1
-        widths = []
-        for i, p in enumerate(ps):
-            if not (0 <= p.x < 1 and 0 <= p.y < 1):
-                raise ValueError("not a Thompson map: data outside [0,1)")
-            if not (CirclePoint(p.x).is_dyadic() and CirclePoint(p.y).is_dyadic()):
-                raise ValueError("not a Thompson map: non-dyadic breakpoint")
-            if not -ly <= p.c <= lx:
-                raise ValueError("not a Thompson map: slope exponent out of range")
-            nxt = ps[i + 1].x if i + 1 < len(ps) else Fraction(1)
-            if nxt <= p.x:
-                raise ValueError("not a Thompson map: breakpoints not increasing")
-            widths.append((nxt - p.x) * Fraction(2) ** p.c)
-        if sum(widths) != 1:
-            raise ValueError("not a Thompson map: image does not cover the circle")
-        # continuity mod 1 between consecutive pieces (values wrap on the circle)
-        for i in range(len(ps)):
-            p = ps[i]
-            nxt_x = ps[i + 1].x if i + 1 < len(ps) else Fraction(1)
-            end = p.y + (nxt_x - p.x) * Fraction(2) ** p.c
-            start_next = ps[(i + 1) % len(ps)].y
-            if (end - start_next) % 1 != 0:
-                raise ValueError("not a Thompson map: discontinuous")
-        # canonical form: merge junctions where the slope does not change
-        merged: List[PLPiece] = [ps[0]]
-        for p in ps[1:]:
-            if p.c == merged[-1].c:
-                continue  # continuity already checked, the affine run extends
-            merged.append(p)
-        object.__setattr__(self, "pieces", tuple(merged))
-
-    def piece_index(self, x: Fraction) -> int:
-        """Index of the last piece starting at or before x (bisection)."""
-        ps = self.pieces
-        lo, hi = 0, len(ps) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if ps[mid].x <= x:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def piece_at(self, x: Fraction) -> PLPiece:
-        return self.pieces[self.piece_index(x)]
-
-    def __call__(self, x: PointLike) -> Fraction:
-        v = _as_fraction(x)
-        if not 0 <= v < 1:
-            v = v % 1
-        p = self.piece_at(v)
-        return (p.y + (v - p.x) * Fraction(2) ** p.c) % 1
-
-    def inverse(self) -> "PiecewiseLinearMap":
-        inv = []
-        for i, p in enumerate(self.pieces):
-            nxt = self.pieces[i + 1].x if i + 1 < len(self.pieces) else Fraction(1)
-            width = nxt - p.x
-            img_w = width * Fraction(2) ** p.c
-            y0 = p.y
-            # the image may wrap past 1; split it at the wrap point
-            if y0 + img_w <= 1:
-                inv.append(PLPiece(y0, p.x, -p.c))
-            else:
-                inv.append(PLPiece(y0, p.x, -p.c))
-                cut = p.x + (1 - y0) * Fraction(2) ** (-p.c)
-                inv.append(PLPiece(Fraction(0), cut % 1, -p.c))
-        inv.sort(key=lambda q: q.x)
-        merged: List[PLPiece] = []
-        for q in inv:
-            if merged and merged[-1].x == q.x:
-                raise ValueError("not a Thompson map: image pieces overlap")
-            merged.append(q)
-        return PiecewiseLinearMap(tuple(merged))
 
 
 # ---------------------------------------------------------------------------
@@ -190,51 +89,36 @@ class ThompsonElement:
         return ThompsonElement([(b, m, a, l)
                                 for a, l, b, m in self.pairs[k:] + self.pairs[:k]])
 
-    def __call__(self, x: PointLike) -> Fraction:
-        return to_piecewise(self)(x)
+    def _pair_at(self, x: PointLike) -> LeafPair:
+        """The pair whose domain leaf holds x in [0,1): the last one whose
+        leaf starts at or before x = p/q, that is a q <= p 2^l (bisection)."""
+        x = as_point(x)
+        pairs = self.pairs
+        lo, hi = 0, len(pairs) - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            a, l, _, _ = pairs[mid]
+            if a * x.q <= x.p << l:
+                lo = mid
+            else:
+                hi = mid - 1
+        return pairs[lo]
+
+    def __call__(self, x: PointLike) -> CirclePoint:
+        """f(x) for x = p/q in [0,1): on the pair (a, l, b, m) holding x,
+        b/2^m + (x - a/2^l) 2^(l-m) = ((b - a) q + p 2^l) / (q 2^m)."""
+        x = as_point(x)
+        a, l, b, m = self._pair_at(x)
+        return CirclePoint((b - a) * x.q + (x.p << l), x.q << m)
 
 
 IDENTITY = ThompsonElement([(0, 0, 0, 0)])
 
 
-def to_piecewise(e: ThompsonElement) -> PiecewiseLinearMap:
-    return PiecewiseLinearMap(tuple(PLPiece(Fraction(a, 1 << l), Fraction(b, 1 << m), l - m)
-                                    for a, l, b, m in e.pairs))
-
-
-def from_piecewise(m: PiecewiseLinearMap) -> ThompsonElement:
-    """Reduced fraction of a valid map: the coarsest domain partition on
-    which the map is affine with standard dyadic images."""
-
-    def admissible(a: int, l: int) -> bool:
-        left = Fraction(a, 1 << l)
-        right = Fraction(a + 1, 1 << l)
-        i = m.piece_index(left)
-        p = m.pieces[i]
-        nxt = m.pieces[i + 1].x if i + 1 < len(m.pieces) else Fraction(1)
-        if right > nxt:
-            return False  # straddles a breakpoint
-        y = m(left)
-        img_w = Fraction(1, 1 << l) * Fraction(2) ** p.c
-        if y + img_w > 1:
-            return False  # image wraps inside the interval
-        return (y / img_w).denominator == 1  # image left endpoint aligned
-
-    pairs: List[LeafPair] = []
-
-    def build(a: int, l: int) -> None:
-        if admissible(a, l):
-            x = Fraction(a, 1 << l)
-            lvl = l - m.piece_at(x).c
-            pairs.append((a, l, int(m(x) * (1 << lvl)), lvl))
-            return
-        if l >= MAX_LEVEL:
-            raise ValueError("not a Thompson map: no dyadic domain tree found")
-        build(2 * a, l + 1)
-        build(2 * a + 1, l + 1)
-
-    build(0, 0)
-    return ThompsonElement(pairs)
+def to_piecewise(e: ThompsonElement) -> ThompsonElement:
+    """`e` itself, which evaluates points and inverts on its pairs; kept for
+    `perfbench/workloads.py`, which calls `to_piecewise(e).inverse()`."""
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +232,7 @@ def element_from_document(doc) -> ThompsonElement:
                                                and isinstance(r[2], int) for r in rows)):
             raise ValueError("state 'pieces' must be a list of [x, y, c] rows "
                              "with an integer slope exponent c")
-        return from_piecewise(PiecewiseLinearMap(tuple(
-            PLPiece(_coordinate(x), _coordinate(y), c) for x, y, c in rows)))
+        return _from_pieces([(_coordinate(x), _coordinate(y), c) for x, y, c in rows])
     if "domain" not in doc or "range" not in doc:
         raise ValueError("state document needs 'word', 'pieces', or 'domain' and 'range'")
     rotation = doc.get("rotation", 0)
@@ -367,6 +250,85 @@ def _coordinate(v) -> Fraction:
         return Fraction(v)
     except (TypeError, ZeroDivisionError, OverflowError):
         raise ValueError(f"piece coordinate {v!r} is not a number") from None
+
+
+def _level(v) -> int:
+    """log2 of the denominator of a dyadic rational."""
+    return v.denominator.bit_length() - 1
+
+
+def _times_power(v, c: int):
+    """v 2^c, exactly."""
+    return v * (1 << c) if c >= 0 else v / (1 << -c)
+
+
+def _from_pieces(ps: List[Tuple[Fraction, Fraction, int]]) -> ThompsonElement:
+    """Reduced element of the table of pieces f(t) = y + 2^c (t - x) for t in
+    [x, next x), values mod 1, once the table is checked to be an
+    orientation-preserving PL bijection of the circle."""
+    if not ps or ps[0][0] != 0:
+        raise ValueError("not a Thompson map: pieces must start at 0")
+    # every image width 2^c (x_{i+1} - x_i) lies in [2^-ly, 1], so a valid c
+    # lies in [-ly, lx]; checked before 2^c is computed
+    lx = max(_level(x) for x, _, _ in ps)
+    ly = max(_level(y) for _, y, _ in ps)
+    ends = [x for x, _, _ in ps[1:]] + [1]
+    total = 0
+    for (x, y, c), end in zip(ps, ends):
+        if not (0 <= x < 1 and 0 <= y < 1):
+            raise ValueError("not a Thompson map: data outside [0,1)")
+        if not (CirclePoint(x).is_dyadic() and CirclePoint(y).is_dyadic()):
+            raise ValueError("not a Thompson map: non-dyadic breakpoint")
+        if not -ly <= c <= lx:
+            raise ValueError("not a Thompson map: slope exponent out of range")
+        if end <= x:
+            raise ValueError("not a Thompson map: breakpoints not increasing")
+        total += _times_power(end - x, c)
+    if total != 1:
+        raise ValueError("not a Thompson map: image does not cover the circle")
+    # continuity mod 1 between consecutive pieces (values wrap on the circle)
+    for (x, y, c), end, (_, y_next, _) in zip(ps, ends, ps[1:] + ps[:1]):
+        if (y + _times_power(end - x, c) - y_next) % 1:
+            raise ValueError("not a Thompson map: discontinuous")
+    # a run of equal slopes is one affine piece; each piece splits where its
+    # image passes 1, so every part has an image inside [0,1)
+    ps = [p for i, p in enumerate(ps) if i == 0 or p[2] != ps[i - 1][2]]
+    pairs: List[LeafPair] = []
+    for (x, y, c), end in zip(ps, [x for x, _, _ in ps[1:]] + [1]):
+        cut = x + _times_power(1 - y, -c)
+        if cut < end:
+            pairs += _leaves(x, cut, y, c) + _leaves(cut, end, 0, c)
+        else:
+            pairs += _leaves(x, end, y, c)
+    return ThompsonElement(_cancel(pairs))
+
+
+def _leaves(x0, x1, y0, c: int) -> List[LeafPair]:
+    """The coarsest leaf pairs of t -> y0 + 2^c (t - x0) on [x0, x1), an
+    affine part of the map whose image lies inside [0,1).
+
+    The leaf [a/2^l, (a+1)/2^l) has the standard image [b/2^m, (b+1)/2^m),
+    m = l - c, iff d 2^m is an integer for the offset d = y0 - 2^c x0, that
+    is iff l >= c + level(d); then b = a + d 2^m.  The leaves are the
+    maximal dyadic blocks of [x0, x1) of level at least that floor: at most
+    two per level, except at the floor itself.  The endpoints are
+    breakpoints of the map, so a part whose endpoints or floor lie deeper
+    than MAX_LEVEL has a reduced leaf that deep, and it is refused before
+    any leaf is enumerated."""
+    d = y0 - _times_power(x0, c)
+    floor = c + _level(d)
+    if max(_level(x0), _level(x1), floor) > MAX_LEVEL:
+        raise ValueError("not a Thompson map: no dyadic domain tree found")
+    pos, end = int(x0 * (1 << MAX_LEVEL)), int(x1 * (1 << MAX_LEVEL))
+    widest = 1 << MAX_LEVEL - max(floor, 0)
+    out = []
+    while pos < end:
+        size = min(pos & -pos or widest, widest, 1 << (end - pos).bit_length() - 1)
+        l = MAX_LEVEL + 1 - size.bit_length()
+        a = pos >> MAX_LEVEL - l
+        out.append((a, l, a + (d.numerator << l - floor), l - c))
+        pos += size
+    return out
 
 
 def element_to_document(e: ThompsonElement) -> dict:
@@ -390,8 +352,10 @@ def find_good(f: ThompsonElement, P0: DyadicPartition) -> DyadicPartition:
 
 
 def slope_right(f: ThompsonElement, x: PointLike) -> int:
-    """Exponent c with df/dx = 2^c as x is approached from the right."""
-    return to_piecewise(f).piece_at(_as_fraction(x)).c
+    """Exponent c with df/dx = 2^c as x in [0,1) is approached from the
+    right: l - m of the pair holding x."""
+    _, l, _, m = f._pair_at(x)
+    return l - m
 
 
 def schwarzian_measure(f: ThompsonElement) -> List[Tuple[CirclePoint, int]]:
@@ -401,16 +365,13 @@ def schwarzian_measure(f: ThompsonElement) -> List[Tuple[CirclePoint, int]]:
     the wrap.
     """
     e = reduce(f)
-    m = to_piecewise(e)
+    c = [l - m for _, l, _, m in e.pairs]
     out = []
-    if e.rotation != 0:
-        jump = m.pieces[0].c - m.pieces[-1].c
-        if jump:
-            out.append((CirclePoint(0), 2 * jump))
-    for prev, cur in zip(m.pieces, m.pieces[1:]):
-        jump = cur.c - prev.c
-        if jump:
-            out.append((CirclePoint(cur.x), 2 * jump))
+    if e.rotation != 0 and c[0] != c[-1]:
+        out.append((CirclePoint(0, 1), 2 * (c[0] - c[-1])))
+    for (a, l, _, _), prev, cur in zip(e.pairs[1:], c, c[1:]):
+        if cur != prev:
+            out.append((CirclePoint(a, 1 << l), 2 * (cur - prev)))
     return out
 
 

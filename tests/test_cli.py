@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from piecewise_reference import to_piecewise
 
 from treefield import correlator as co
+from treefield import thompson as th
 from treefield.cli import main
 from treefield.models import preset, to_document
 
@@ -541,6 +543,21 @@ def test_slope_exponent_bounded_before_power(capsys, tmp_path):
         result = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert result == (1, "", message)
+
+
+def test_deep_pieces_tables_read_back(capsys):
+    # A^63 has slopes down to 2^-63 and leaves at level 64; its breakpoint
+    # table and that of a 200-generator word reduce to the word's element
+    rng = np.random.default_rng(200)
+    word = " ".join(g + inv for g, inv in zip(rng.choice(list("ABCS"), 200),
+                                              rng.choice(["", "^-1"], 200)))
+    for word in ("A " * 63, word):
+        e = th.parse_word(word)
+        rows = [[str(p.x), str(p.y), p.c] for p in to_piecewise(e).pieces]
+        start = time.perf_counter()
+        result = run(capsys, "thompson", "reduce", json.dumps({"pieces": rows}))
+        assert time.perf_counter() - start < 1.0
+        assert result == (0, json.dumps(th.element_to_document(e), sort_keys=True) + "\n", "")
 
 
 def nested_comb(depth):

@@ -6,17 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import treefield.correlator
+import treefield.dyadic
 import treefield.thompson as thompson_module
-from treefield.dyadic import (LEAF, TRIVIAL_PARTITION, DyadicPartition,
-                              StdInterval, caret, partition_to_nested,
-                              regular_partition, tree_to_partition)
+from piecewise_reference import (PiecewiseLinearMap, PLPiece, from_piecewise,
+                                 to_piecewise)
+from treefield.cli import main
+from treefield.correlator import CorrelatorRequest, transformed_correlator
+from treefield.dyadic import (LEAF, TRIVIAL_PARTITION, CirclePoint,
+                              DyadicPartition, StdInterval, caret,
+                              partition_to_nested, regular_partition,
+                              tree_to_partition)
 from treefield.models import degenerate_isometry, preset
-from treefield.thompson import (IDENTITY, PiecewiseLinearMap, PLPiece,
-                                ThompsonElement, compose, element_from_document,
-                                element_to_document, equal, find_good,
-                                from_piecewise, generator, good_partition,
+from treefield.thompson import (IDENTITY, ThompsonElement, compose,
+                                element_from_document, element_to_document,
+                                equal, find_good, generator, good_partition,
                                 parse_word, pullback_partition, reduce,
-                                schwarzian_measure, slope_right, to_piecewise,
+                                schwarzian_measure, slope_right,
                                 vacuum_invariance_check)
 
 A = generator("A")
@@ -204,6 +210,50 @@ def test_schwarzian_measure():
     assert schwarzian_measure(S) == []
 
 
+def test_element_call_returns_circle_points():
+    assert A(Fraction(1, 2)) == A("1/2") == CirclePoint(1, 4)
+    assert C.inverse()("0") == CirclePoint(1, 2)
+    for outside in (Fraction(3, 2), 1, Fraction(-1, 4)):
+        with pytest.raises(ValueError, match=r"not in \[0,1\)"):
+            A(outside)
+        with pytest.raises(ValueError, match=r"not in \[0,1\)"):
+            slope_right(A, outside)
+
+
+def test_thompson_maps_build_no_fraction(capsys, monkeypatch):
+    # with `Fraction` refused inside the geometry, the Thompson layer and the
+    # correlator, maps of 'p/q' and binary points give the same values
+    qutrit = preset("qutrit")
+    words = ["A C", "B A^-1 C S", "S A B⁻¹ C-1 A A"]
+    points = ["0/1", "1/3", "0.1011", "5/7", "3/4", "0.0000000001"]
+    requests = [CorrelatorRequest.make(["1/7", "0.01", "2/3", "0.111"],
+                                       ["δ¹", "β²", "δ²", "β¹"], qutrit),
+                CorrelatorRequest.make(["0/1", "1/2"], ["α¹", "α¹"], qutrit)]
+
+    def results():
+        out = []
+        for word in words:
+            e = parse_word(word)
+            out.append([(e(x), e.inverse()(x), slope_right(e, x)) for x in points])
+            out.append(schwarzian_measure(e))
+            out.append([repr(transformed_correlator(e, req, qutrit)) for req in requests])
+            for action, args in (("apply", [word, *points]), ("schwarzian", word.split())):
+                code = main(["thompson", action, *args])
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+        return out
+
+    want = results()
+
+    class NoFraction:
+        def __new__(cls, *args):
+            raise AssertionError("Fraction built by a Thompson map")
+
+    for module in (treefield.dyadic, thompson_module, treefield.correlator):
+        monkeypatch.setattr(module, "Fraction", NoFraction)
+    assert results() == want
+
+
 def test_schwarzian_telescoping_for_equal_end_slopes():
     rng = np.random.default_rng(5)
     checked = 0
@@ -318,6 +368,58 @@ def test_property_reduce_matches_the_piecewise_reference(e, cuts):
             u = split(u, k % u.n_leaves)
     assert u.n_leaves > e.n_leaves
     assert reduce(u) == from_piecewise(to_piecewise(u)) == e
+
+
+@st.composite
+def circle_points(draw):
+    """Dyadic points a/2^l up to level 64, and points p/q."""
+    if draw(st.booleans()):
+        q = 1 << draw(st.integers(0, 64))
+    else:
+        q = draw(st.integers(1, 10 ** 6))
+    return CirclePoint(draw(st.integers(0, q - 1)), q)
+
+
+def reference_schwarzian(m):
+    """Jumps 2 (c_right - c_left) of the reference map at its breakpoints,
+    and across 0 when the map moves 0 (a rotation of T)."""
+    ps = m.pieces
+    jumps = [(CirclePoint(p.x), 2 * (p.c - prev.c)) for prev, p in zip(ps, ps[1:])]
+    if m(0) != 0:
+        jumps.insert(0, (CirclePoint(0), 2 * (ps[0].c - ps[-1].c)))
+    return [(x, w) for x, w in jumps if w]
+
+
+@PROPS
+@given(elements(), st.lists(st.integers(min_value=0), max_size=4),
+       st.lists(circle_points(), min_size=1, max_size=5), st.integers(0, 7),
+       st.integers(0, 255))
+def test_property_pair_maps_match_the_piecewise_reference(e, cuts, xs, k, num):
+    # reduced and split elements, evaluated at random points and at every
+    # domain and image breakpoint; breakpoint tables read back, merged as
+    # the reference writes them and one row per pair, and a rotation by num/2^k
+    u = e
+    for cut in cuts:
+        u = split(u, cut % u.n_leaves)
+    for f in (e, u):
+        m = to_piecewise(f)
+        inv = m.inverse()
+        starts = ([CirclePoint(a, 1 << l) for a, l, _, _ in f.pairs]
+                  + [CirclePoint(b, 1 << mm) for _, _, b, mm in f.pairs])
+        for x in xs + starts:
+            assert f(x).value == m(x)
+            assert f.inverse()(x).value == inv(x)
+            assert slope_right(f, x) == m.piece_at(x.value).c
+        assert schwarzian_measure(f) == reference_schwarzian(m)
+        per_pair = [(Fraction(a, 1 << l), Fraction(b, 1 << mm), l - mm)
+                    for a, l, b, mm in f.pairs]
+        for rows in ([(p.x, p.y, p.c) for p in m.pieces], per_pair):
+            doc = {"pieces": [[str(x), str(y), c] for x, y, c in rows]}
+            want = from_piecewise(PiecewiseLinearMap(tuple(PLPiece(*r) for r in rows)))
+            assert element_from_document(doc) == want == e
+    y = str(Fraction(num % (1 << k), 1 << k))
+    rotation = PiecewiseLinearMap((PLPiece(Fraction(0), Fraction(y), 0),))
+    assert element_from_document({"pieces": [["0", y, 0]]}) == from_piecewise(rotation)
 
 
 @PROPS
