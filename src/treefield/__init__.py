@@ -6,11 +6,10 @@ renormalised field insertions, and the action of Thompson's groups F and T
 on those correlators, with a brute-force contraction oracle throughout.
 """
 
-from .dyadic import (BinaryTree, CirclePoint, DyadicPartition, StdInterval,
+from .dyadic import (CirclePoint, DyadicPartition, StdInterval,
                      coarse_grain_distance, common_refinement, is_refinement,
-                     minimal_supporting_partition, partition_to_tree,
-                     tree_metric, tree_metric_formula, tree_to_partition,
-                     xor_sub)
+                     minimal_supporting_partition, tree_metric,
+                     tree_metric_formula, xor_sub)
 from .spectral import (AscendingChannel, Isometry3Box, SpectralData,
                        build_channel, eigendecompose, scaling_dimension,
                        spectral_radius_check)

@@ -19,7 +19,7 @@ import numpy as np
 from . import correlator as co
 from . import thompson as th
 from . import treestate
-from .dyadic import DyadicPartition, minimal_supporting_partition, partition_to_tree
+from .dyadic import DyadicPartition, minimal_supporting_partition
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      parse_document, resolve_model, to_document)
 from .spectral import scaling_dimension
@@ -157,7 +157,7 @@ def cmd_oracle_diff(args) -> int:
         raise ValueError("oracle-diff covers vacuum requests only")
     value = _finite_n_point(req, model)
     P = minimal_supporting_partition([i.position for i in req.insertions])
-    t = treestate.LabelledTree(partition_to_tree(P), _oracle_ops(P, req, model))
+    t = treestate.LabelledTree(P, _oracle_ops(P, req, model))
     oracle = treestate.oracle_expectation(t, V)
     diff = abs(value - oracle)
     if args.json:

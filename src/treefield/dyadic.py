@@ -1,18 +1,18 @@
 """Exact arithmetic on the dyadic circle [0,1): points, standard intervals,
-partitions, the partition <-> binary tree bijection, nested tree documents,
-leaf pairs and the tree metric.
+partitions, nested tree documents, leaf pairs and the tree metric.
 
 A point is its reduced integer pair (p, q), 0 <= p < q (`CirclePoint`); a
 dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
 the coarse-graining distance read its level from q.  `CirclePoint.parse`
 reads an ASCII 'p/q' or a binary expansion with `int` calls and leaves every
 other spelling to `Fraction(str)`.  A standard interval is its integer
-(left numerator, level) pair.  Partition checks and `fold_tree`, one stack
-pass folding a partition's tree without building it, run on those
+(left numerator, level) pair.  A finite binary tree is its dyadic
+partition: the leaves are the standard intervals, a left child the left
+half of its parent, so no tree object is built.  Partition checks and
+`fold_tree`, one stack pass folding a partition's tree, run on those
 integers.  Nested documents (0 a leaf, [left, right] a caret) are written by
 that fold and read by one explicit-stack pass straight to (a, l) leaves, so
-no function here recurses; a `BinaryTree` is built only for the matrix
-references in `treestate`.  A leaf pair (a, l, b, m) maps the interval
+no function here recurses.  A leaf pair (a, l, b, m) maps the interval
 [a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk over two
 pair lists, `_compose_pairs`, composes Thompson elements, pulls a partition
 back through one, and gives the common refinement of two partitions as the
@@ -222,41 +222,6 @@ class StdInterval:
         return f"{self.left_numerator}/{1 << self.level}"
 
 
-class BinaryTree:
-    """Immutable rooted binary tree; a node is a leaf iff it has no children.
-    Two trees are equal iff their partitions are (`tree_to_partition`)."""
-
-    __slots__ = ("left", "right", "_leaves")
-
-    def __init__(self, left: Optional["BinaryTree"] = None,
-                 right: Optional["BinaryTree"] = None):
-        if (left is None) != (right is None):
-            raise ValueError("caret needs both children")
-        self.left = left
-        self.right = right
-        self._leaves = 1 if left is None else left.leaf_count() + right.leaf_count()
-
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def leaf_count(self) -> int:
-        return self._leaves
-
-
-LEAF = BinaryTree()
-
-
-def caret(left: BinaryTree, right: BinaryTree) -> BinaryTree:
-    return BinaryTree(left, right)
-
-
-def regular_tree(depth: int) -> BinaryTree:
-    t = LEAF
-    for _ in range(depth):
-        t = BinaryTree(t, t)
-    return t
-
-
 @dataclass(frozen=True)
 class DyadicPartition:
     """Ordered, contiguous standard dyadic cover of [0,1)."""
@@ -343,20 +308,7 @@ def is_refinement(P: DyadicPartition, Q: DyadicPartition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# tree <-> partition bijection (left child <-> left half interval)
-
-
-def tree_to_partition(t: BinaryTree) -> DyadicPartition:
-    out = []
-    stack = [(t, 0, 0)]
-    while stack:
-        node, a, l = stack.pop()
-        if node.left is None:
-            out.append(StdInterval(a, l))
-        else:
-            stack.append((node.right, 2 * a + 1, l + 1))
-            stack.append((node.left, 2 * a, l + 1))
-    return DyadicPartition(tuple(out))
+# a partition's tree: folds and nested documents
 
 
 def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
@@ -378,8 +330,15 @@ def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
     return stack[0][2]
 
 
-def partition_to_tree(P: DyadicPartition) -> BinaryTree:
-    return fold_tree(P, lambda k: LEAF, BinaryTree)
+def partition_to_tree(P: DyadicPartition) -> DyadicPartition:
+    """`P` itself, which is its own tree; kept for `perfbench/workloads.py`,
+    which passes `partition_to_tree(P)` to `treestate`."""
+    return P
+
+
+def tree_to_partition(P: DyadicPartition) -> DyadicPartition:
+    """`P` itself; kept for `perfbench/tracer.py`, which traces this name."""
+    return P
 
 
 def partition_to_nested(P: DyadicPartition):

@@ -15,9 +15,9 @@ tree-pair documents go straight between nested lists and (a, l) leaves
 (`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`), and breakpoint
 tables are split into leaves on integers.  Point evaluation, slopes and the
 Schwarzian measure read the pairs: a point p/q is located by bisection over
-the domain leaves, with no `Fraction`.  A `BinaryTree` is built only for the
-`treestate` matrix references under the transformed expectation and the
-vacuum-invariance check.
+the domain leaves, with no `Fraction`.  The transformed expectation and the
+vacuum-invariance check hand partitions to the `treestate` matrix
+references.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
                      PointLike, StdInterval, as_point, check_regular_level,
                      common_refinement, identity_pairs, is_refinement,
-                     nested_to_leaves, partition_to_nested, partition_to_tree,
-                     regular_partition, _compose_pairs)
+                     nested_to_leaves, partition_to_nested, regular_partition,
+                     _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -184,6 +184,9 @@ def generator(name: str) -> ThompsonElement:
 
 
 MAX_WORD_LENGTH = 1024  # generators in one word; longer words are refused
+# leaf pairs one breakpoint table may reduce to: a word of MAX_WORD_LENGTH
+# generators has at most 3 carets each, so at most 3 * 1024 + 1 pairs
+MAX_PIECE_PAIRS = 4096
 # name -> (pairs of the generator, pairs of its inverse)
 _GENERATOR_PAIRS = {name: (pairs, ThompsonElement(pairs).inverse().pairs)
                     for name, pairs in _GENERATORS.items()}
@@ -293,40 +296,60 @@ def _from_pieces(ps: List[Tuple[Fraction, Fraction, int]]) -> ThompsonElement:
     # a run of equal slopes is one affine piece; each piece splits where its
     # image passes 1, so every part has an image inside [0,1)
     ps = [p for i, p in enumerate(ps) if i == 0 or p[2] != ps[i - 1][2]]
-    pairs: List[LeafPair] = []
+    parts = []
     for (x, y, c), end in zip(ps, [x for x, _, _ in ps[1:]] + [1]):
         cut = x + _times_power(1 - y, -c)
         if cut < end:
-            pairs += _leaves(x, cut, y, c) + _leaves(cut, end, 0, c)
+            parts += [_part(x, cut, y, c), _part(cut, end, 0, c)]
         else:
-            pairs += _leaves(x, end, y, c)
-    return ThompsonElement(_cancel(pairs))
+            parts.append(_part(x, end, y, c))
+    n = sum(_leaf_count(*part) for part in parts)
+    if n > MAX_PIECE_PAIRS:
+        raise ValueError(f"pieces table has {n} leaf pairs; "
+                         f"at most {MAX_PIECE_PAIRS} are allowed")
+    return ThompsonElement(_cancel([pair for part in parts for pair in _leaves(*part)]))
 
 
-def _leaves(x0, x1, y0, c: int) -> List[LeafPair]:
-    """The coarsest leaf pairs of t -> y0 + 2^c (t - x0) on [x0, x1), an
-    affine part of the map whose image lies inside [0,1).
+def _part(x0, x1, y0, c: int) -> Tuple[int, ...]:
+    """The part t -> y0 + 2^c (t - x0) on [x0, x1) of a map, whose image
+    lies inside [0,1), on integers.
 
     The leaf [a/2^l, (a+1)/2^l) has the standard image [b/2^m, (b+1)/2^m),
     m = l - c, iff d 2^m is an integer for the offset d = y0 - 2^c x0, that
-    is iff l >= c + level(d); then b = a + d 2^m.  The leaves are the
-    maximal dyadic blocks of [x0, x1) of level at least that floor: at most
-    two per level, except at the floor itself.  The endpoints are
+    is iff l >= floor = c + level(d); then b = a + d 2^m.  The part's leaves
+    are the maximal dyadic blocks of [x0, x1) of level at least that floor:
+    at most two per level, except at the floor itself.  Returns the ends
+    pos, end and the widest block in units of 2^-MAX_LEVEL, the offset as
+    the numerator of d 2^level(d), the floor and c.  The endpoints are
     breakpoints of the map, so a part whose endpoints or floor lie deeper
-    than MAX_LEVEL has a reduced leaf that deep, and it is refused before
-    any leaf is enumerated."""
+    than MAX_LEVEL has a reduced leaf that deep, and it is refused here."""
     d = y0 - _times_power(x0, c)
     floor = c + _level(d)
     if max(_level(x0), _level(x1), floor) > MAX_LEVEL:
         raise ValueError("not a Thompson map: no dyadic domain tree found")
-    pos, end = int(x0 * (1 << MAX_LEVEL)), int(x1 * (1 << MAX_LEVEL))
-    widest = 1 << MAX_LEVEL - max(floor, 0)
+    return (int(x0 * (1 << MAX_LEVEL)), int(x1 * (1 << MAX_LEVEL)),
+            1 << MAX_LEVEL - max(floor, 0), d.numerator, floor, c)
+
+
+def _leaf_count(pos: int, end: int, widest: int, *_) -> int:
+    """How many leaves `_leaves` makes of a part: the point m of [pos, end]
+    with the most trailing zeros splits them into the set bits of m - pos and
+    of end - m, a bit above `widest` counting as that many blocks of it."""
+    h = ((pos - 1) ^ end).bit_length() - 1  # the top bit where pos - 1 and end differ
+    m = end >> h << h if pos else 0
+    w = widest.bit_length() - 1
+    return sum(bin(x & widest - 1).count("1") + (x >> w) for x in (m - pos, end - m))
+
+
+def _leaves(pos: int, end: int, widest: int, offset: int, floor: int,
+            c: int) -> List[LeafPair]:
+    """The coarsest leaf pairs of a part (`_part`), left to right."""
     out = []
     while pos < end:
         size = min(pos & -pos or widest, widest, 1 << (end - pos).bit_length() - 1)
         l = MAX_LEVEL + 1 - size.bit_length()
         a = pos >> MAX_LEVEL - l
-        out.append((a, l, a + (d.numerator << l - floor), l - c))
+        out.append((a, l, a + (offset << l - floor), l - c))
         pos += size
     return out
 
@@ -415,7 +438,7 @@ def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
     closes with the normalised trace (the correlator functional).
     """
     P, leaf_ops = pulled_back(f, Q, ops_by_slot)
-    return treestate.vacuum_expectation_batch(partition_to_tree(P), V, leaf_ops)
+    return treestate.vacuum_expectation_batch(P, V, leaf_ops)
 
 
 TOL_INVARIANCE = 1e-10  # largest deviation `vacuum_invariance_check` passes
@@ -440,15 +463,13 @@ def vacuum_invariance_check(f: ThompsonElement, V: Isometry3Box,
     mus = S.right_ops  # (n, d, d)
     e = reduce(f)
     Q = common_refinement(regular_partition(level), e.range_partition())
-    tree = partition_to_tree(Q)
     m = len(Q)
     P, sigma = pullback_partition(e, Q)  # once: e and Q are fixed
-    moved_tree = partition_to_tree(P)
 
     def deviation(ops: Dict[int, np.ndarray]) -> float:
-        plain = treestate.pair_vacuum_expectation_batch(tree, V, ops)
+        plain = treestate.pair_vacuum_expectation_batch(Q, V, ops)
         moved_ops = {i: ops[q] for i, q in enumerate(sigma) if q in ops}
-        moved = treestate.pair_vacuum_expectation_batch(moved_tree, V, moved_ops)
+        moved = treestate.pair_vacuum_expectation_batch(P, V, moved_ops)
         return float(np.max(np.abs(plain - moved)))
 
     worst = 0.0

@@ -74,6 +74,8 @@ def input_files() -> dict:
     pieces = {
         "rotation_8": [["0", "1/256", 0]],
         "rotation_12": [["0", "1/4096", 0]],
+        "rotation_13": [["0", "1/8192", 0]],
+        "rotation_40": [["0", f"1/{1 << 40}", 0]],
         "a": [["0", "0", -1], ["1/2", "1/4", 0], ["3/4", "1/2", 1]],
         "cover": [["0", "0", 1], ["1/2", "1/4", 0], ["3/4", "1/2", -1]],
         "gap": [["0", "0", 0], ["1/2", "1/4", 0]],
@@ -168,7 +170,8 @@ def commands() -> List[List[str]]:
         ["correlator", *QUTRIT, "--request", "bool_labels.json"],
         ["correlator", *QUTRIT, "--request", "missing.json"],
     )
-    for name in ("rotation_8", "rotation_12", "a", "cover", "gap", "slope"):
+    for name in ("rotation_8", "rotation_12", "a", "cover", "gap", "slope",
+                 "rotation_13", "rotation_40"):
         out += json_too(["correlator", *QUTRIT, "--request", f"pieces_{name}.json"])
     # oracle-diff
     for positions, labels in ORACLE_REQUESTS:
@@ -227,6 +230,8 @@ def commands() -> List[List[str]]:
         ["thompson", "reduce", json.dumps({"pieces": [["0", "0", 0], ["1/2", "1/4", 0]]})],
         ["thompson", "reduce", json.dumps({"pieces": [["0", "1/3", 0]]})],
         ["thompson", "reduce", json.dumps({"pieces": [["0", "0", 10 ** 12]]})],
+        ["thompson", "reduce", json.dumps({"pieces": [["0", "1/8192", 0]]})],
+        ["thompson", "reduce", json.dumps({"pieces": [["0", f"1/{1 << 40}", 0]]})],
     ]
     # checks
     for model in (QUTRIT, DEGENERATE):

@@ -26,11 +26,10 @@ from treefield.correlator import (CorrelatorRequest, _evaluate, ipow, n_point,
                                   transformed_correlator,
                                   transformed_state_correlator,
                                   two_point_closed)
-from treefield.dyadic import (LEAF, BinaryTree, CirclePoint, DyadicPartition,
-                              StdInterval, minimal_supporting_partition,
-                              partition_to_tree, regular_tree, supports,
-                              tree_metric, tree_metric_formula,
-                              tree_to_partition, xor_sub)
+from treefield.dyadic import (CirclePoint, DyadicPartition, StdInterval,
+                              minimal_supporting_partition, regular_partition,
+                              supports, tree_metric, tree_metric_formula,
+                              xor_sub)
 from treefield.fusion import fuse
 from treefield.models import degenerate_isometry, preset
 from treefield.spectral import build_channel, eigendecompose, scaling_dimension
@@ -133,21 +132,21 @@ def test_criterion_04_fibonacci():
     assert np.array_equal(FIB.ring.matrix(0), np.eye(2, dtype=int))
 
 
-def all_tree_shapes(max_leaves):
-    cache = {1: [LEAF]}
+def all_partitions(max_leaves):
+    """Every dyadic partition of at most `max_leaves` intervals: a cover by n
+    intervals is a cover of the left half by k and of the right half by n - k."""
+    cache = {1: [((0, 0),)]}
 
-    def shapes(n):
+    def covers(n):  # (a, l) leaves of every cover of [0,1) by n intervals
         if n not in cache:
-            out = []
-            for k in range(1, n):
-                for left in shapes(k):
-                    for right in shapes(n - k):
-                        out.append(BinaryTree(left, right))
-            cache[n] = out
+            cache[n] = [tuple((a, l + 1) for a, l in left)
+                        + tuple((a + (1 << l), l + 1) for a, l in right)
+                        for k in range(1, n) for left in covers(k) for right in covers(n - k)]
         return cache[n]
 
     for n in range(1, max_leaves + 1):
-        yield from shapes(n)
+        for leaves in covers(n):
+            yield DyadicPartition(tuple(StdInterval(a, l) for a, l in leaves))
 
 
 def transfer_single(T, n, p):
@@ -176,14 +175,13 @@ def test_criterion_05_oracle_equivalence():
     rng = np.random.default_rng(5)
     u, w = rng.normal(size=(2, n_labels)) + 1j * rng.normal(size=(2, n_labels))
     shapes = 0
-    for tree in all_tree_shapes(8):
+    for P in all_partitions(8):
         shapes += 1
-        n = tree.leaf_count()
-        P = tree_to_partition(tree)
-        phi = treestate.isometry_matrix(tree, V)
+        n = len(P)
+        phi = treestate.isometry_matrix(P, V)
         T = phi.reshape((3,) * n + (3,))
         for p in range(n):
-            engine = treestate.vacuum_expectation_batch(tree, V, {p: mus})
+            engine = treestate.vacuum_expectation_batch(P, V, {p: mus})
             oracle = np.einsum("lab,ab->l", mus, transfer_single(T, n, p)) / 3
             assert np.max(np.abs(engine - oracle)) <= 1e-10
             leaf = (P[p].left_numerator, P[p].level)
@@ -193,7 +191,7 @@ def test_criterion_05_oracle_equivalence():
         for p in range(n):
             for q in range(p + 1, n):
                 engine = treestate.vacuum_expectation_batch(
-                    tree, V, {p: pair_a, q: pair_b})
+                    P, V, {p: pair_a, q: pair_b})
                 m2 = transfer_double(T, n, p, q)
                 oracle = np.einsum("xab,ycd,abcd->xy", mus, mus, m2).ravel() / 3
                 assert np.max(np.abs(engine - oracle)) <= 1e-10
@@ -206,21 +204,20 @@ def test_criterion_05_oracle_equivalence():
     # closed two-point forms against engine and oracle on all dyadic pairs
     lam = QUTRIT.eigenvalues
     for m in range(1, 5):
-        tree_m = regular_tree(m)
+        Pm = regular_partition(m)
         for j in range(1 << m):
             for k in range(j + 1, 1 << m):
                 x = CirclePoint(Fraction(j, 1 << m))
                 y = CirclePoint(Fraction(k, 1 << m))
                 P = minimal_supporting_partition([x, y])
-                treeP = partition_to_tree(P)
                 kx, ky = P.index_of(x), P.index_of(y)
                 wa = np.array([ipow(lam[a], -P[kx].level) for a in range(9)])
                 wb = np.array([ipow(lam[b], -P[ky].level) for b in range(9)])
                 ops = {kx: pair_a * wa.repeat(9)[:, None, None],
                        ky: pair_b * np.tile(wb, 9)[:, None, None]}
-                engine = treestate.vacuum_expectation_batch(treeP, V, ops)
-                nP = treeP.leaf_count()
-                phi = treestate.isometry_matrix(treeP, V)
+                engine = treestate.vacuum_expectation_batch(P, V, ops)
+                nP = len(P)
+                phi = treestate.isometry_matrix(P, V)
                 TP = phi.reshape((3,) * nP + (3,))
                 m2 = transfer_double(TP, nP, min(kx, ky), max(kx, ky))
                 if kx < ky:
@@ -230,7 +227,7 @@ def test_criterion_05_oracle_equivalence():
                 else:
                     raise AssertionError("positions are ordered")
                 bare_engine = treestate.vacuum_expectation_batch(
-                    tree_m, V, {j: pair_a, k: pair_b})
+                    Pm, V, {j: pair_a, k: pair_b})
                 for a in range(9):
                     for b in range(9):
                         closed = two_point_closed(x, y, a, b, QUTRIT)
@@ -242,7 +239,7 @@ def test_criterion_05_oracle_equivalence():
                         assert abs(closed - bare * scale) <= 1e-10 * max(
                             1.0, abs(scale))
                 if m <= 3:
-                    Tm = treestate.isometry_matrix(tree_m, V).reshape(
+                    Tm = treestate.isometry_matrix(Pm, V).reshape(
                         (3,) * (1 << m) + (3,))
                     m2m = transfer_double(Tm, 1 << m, j, k)
                     bare_oracle = np.einsum("xab,ycd,abcd->xy", mus, mus,

@@ -545,6 +545,28 @@ def test_slope_exponent_bounded_before_power(capsys, tmp_path):
         assert result == (1, "", message)
 
 
+def test_pieces_tables_bounded_before_enumeration(capsys, tmp_path):
+    # the rotation by 2^-k reduces to 2^k leaf pairs: k = 12 is read, and
+    # k = 13 and a 40-byte table with k = 40 are refused from the count
+    def rotation(k):
+        return {"pieces": [["0", f"1/{1 << k}", 0]]}
+
+    code, out, err = run(capsys, "thompson", "reduce", json.dumps(rotation(12)))
+    assert (code, err) == (0, "")
+    assert th.element_from_document(json.loads(out)).n_leaves == 4096
+    request = tmp_path / "pieces.json"
+    for k in (13, 40):
+        request.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
+                                       "state": rotation(k)}))
+        message = f"error: pieces table has {1 << k} leaf pairs; at most 4096 are allowed\n"
+        for argv in (["thompson", "reduce", json.dumps(rotation(k))],
+                     ["correlator", "--model", "qutrit", "--request", str(request)]):
+            start = time.perf_counter()
+            result = run(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            assert result == (1, "", message)
+
+
 def test_deep_pieces_tables_read_back(capsys):
     # A^63 has slopes down to 2^-63 and leaves at level 64; its breakpoint
     # table and that of a 200-generator word reduce to the word's element

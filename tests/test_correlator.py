@@ -21,7 +21,7 @@ from treefield.correlator import (CorrelatorRequest, FieldInsertion,
 from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
                               StdInterval, as_point, common_refinement,
                               fold_tree, minimal_supporting_partition,
-                              partition_to_tree, regular_partition)
+                              regular_partition)
 from treefield.models import ModelSpec, check_swap, load_model, preset
 from treefield.spectral import Isometry3Box
 
@@ -128,7 +128,7 @@ def fold_n_point(req, model):
 
 def oracle_value(req, model, partition=None):
     P = partition or minimal_supporting_partition([i.position for i in req.insertions])
-    t = treestate.LabelledTree(partition_to_tree(P), weighted_ops(P, req, model))
+    t = treestate.LabelledTree(P, weighted_ops(P, req, model))
     return treestate.oracle_expectation(t, model.require_isometry())
 
 
@@ -541,7 +541,7 @@ def test_smeared_indicator_reproduces_discretised_field(qutrit):
     got = smeared_expectation(pieces, P, qutrit)
     op = ipow(lam[b], -2) * S.right_ops[b]
     want = treestate.vacuum_expectation(
-        treestate.LabelledTree(partition_to_tree(P), {target: op}), qutrit.isometry)
+        treestate.LabelledTree(P, {target: op}), qutrit.isometry)
     assert abs(got - want) < 1e-12
 
 
@@ -571,7 +571,7 @@ def test_smeared_random_pieces_term_oracle():
                            for w, M in overlaps if w > 0)
                 op = fbar * ipow(lam[a], -iv.level) * S.right_ops[a]
                 want += treestate.vacuum_expectation(
-                    treestate.LabelledTree(partition_to_tree(P), {k: op}), model.isometry)
+                    treestate.LabelledTree(P, {k: op}), model.isometry)
         assert abs(got - want) < 1e-10
 
 
@@ -651,7 +651,7 @@ def test_abstract_model_with_moments_matches_engine():
         req_a = CorrelatorRequest.make(pts, labels, twin)
         P = minimal_supporting_partition(pts)
         ops = {j: op[None] for j, op in weighted_ops(P, req_e, base).items()}
-        engine = treestate.vacuum_expectation_batch(partition_to_tree(P),
+        engine = treestate.vacuum_expectation_batch(P,
                                                     base.isometry, ops)[0]
         assert abs(n_point(req_e, base) - engine) < 1e-10
         assert abs(n_point(req_a, twin) - engine) < 1e-10
@@ -714,7 +714,7 @@ def test_many_insertions_match_matrix_ascent(qutrit):
         assert len(P) > 9
         for got, R, reference in [
                 (n_point(req, model), P, lambda ops: treestate.vacuum_expectation_batch(
-                    partition_to_tree(P), model.isometry, ops)),
+                    P, model.isometry, ops)),
                 (transformed_state_correlator(e, req, model), Q,
                  lambda ops: th.transformed_vacuum_expectation_batch(
                      e, Q, ops, model.isometry))]:

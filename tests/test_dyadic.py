@@ -5,16 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefield.dyadic import (LEAF, MAX_LEVEL, BinaryTree, CirclePoint,
-                              DyadicPartition, StdInterval, TRIVIAL_PARTITION,
-                              as_point, caret, coarse_grain_distance,
-                              common_prefix_length, common_refinement,
-                              fold_tree, is_refinement,
+from treefield import treestate
+from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
+                              StdInterval, TRIVIAL_PARTITION, as_point,
+                              coarse_grain_distance, common_prefix_length,
+                              common_refinement, fold_tree, is_refinement,
                               minimal_supporting_partition, nested_to_leaves,
-                              partition_to_nested, partition_to_tree,
-                              regular_partition, regular_tree, supports,
-                              tree_metric, tree_metric_formula,
-                              tree_to_partition, xor_sub)
+                              partition_to_nested, regular_partition, supports,
+                              tree_metric, tree_metric_formula, xor_sub)
 
 
 def dy(a, l):
@@ -153,14 +151,14 @@ def test_minimal_supporting_partition_errors():
 
 def all_partitions(max_level):
     """Every dyadic partition with intervals at level <= max_level."""
-    def trees(a, l):
-        yield LEAF
+    def covers(a, l):  # every cover of [a/2^l, (a+1)/2^l)
+        yield [StdInterval(a, l)]
         if l < max_level:
-            for left in trees(2 * a, l + 1):
-                for right in trees(2 * a + 1, l + 1):
-                    yield BinaryTree(left, right)
-    for t in trees(0, 0):
-        yield tree_to_partition(t)
+            for left in covers(2 * a, l + 1):
+                for right in covers(2 * a + 1, l + 1):
+                    yield left + right
+    for ivs in covers(0, 0):
+        yield DyadicPartition(tuple(ivs))
 
 
 def test_minimal_supporting_partition_brute_force():
@@ -240,32 +238,6 @@ def test_common_refinement():
         for cand in parts:
             if is_refinement(A, cand) and is_refinement(B, cand):
                 assert len(cand) >= len(R)
-
-
-def test_tree_partition_bijection_examples():
-    assert tree_to_partition(LEAF) == TRIVIAL_PARTITION
-    assert [str(iv) for iv in tree_to_partition(caret(LEAF, LEAF))] == ["0/2", "1/2"]
-    t = caret(caret(LEAF, LEAF), LEAF)
-    assert [str(iv) for iv in tree_to_partition(t)] == ["0/4", "1/4", "1/2"]
-
-
-def test_tree_partition_round_trip():
-    # exhaustive on small trees, random larger ones
-    small = 0
-    for P in all_partitions(3):
-        assert tree_to_partition(partition_to_tree(P)) == P
-        small += 1
-    assert small == 26
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        t = regular_tree(2)
-        P = tree_to_partition(t)
-        for _ in range(int(rng.integers(0, 60))):
-            if len(P) >= 64:
-                break
-            P = P.refine_at(int(rng.integers(0, len(P))))
-        t2 = partition_to_tree(P)
-        assert tree_to_partition(t2) == P
 
 
 def test_nested_document_shapes():
@@ -373,10 +345,7 @@ def ref_is_refinement(P, Q):
 @PROPS
 @given(partitions())
 def test_property_tree_partition_round_trip(P):
-    # a tree is its partition, so tree -> partition -> tree is this check too
-    t = partition_to_tree(P)
-    assert t.leaf_count() == len(P)
-    assert tree_to_partition(t) == P
+    # a tree is its partition: its document reads back to P's leaves
     assert nested_to_leaves(partition_to_nested(P)) == [
         (iv.left_numerator, iv.level) for iv in P]
 
@@ -386,10 +355,10 @@ def test_property_tree_partition_round_trip(P):
 def test_property_fold_tree_slot_order_and_document_shape(P):
     assert fold_tree(P, lambda k: (k,), lambda l, r: l + r) == tuple(range(len(P)))
 
-    def nested(t):  # the built tree's document, by its own walk
-        return 0 if t.is_leaf() else [nested(t.left), nested(t.right)]
-
-    assert partition_to_nested(P) == nested(partition_to_tree(P))
+    # the bottom-up stack fold and the matrix references' top-down split
+    # give the same document
+    nested = treestate._walk(P, lambda k: 0, lambda l, r: [l, r], 0, len(P), 0, 0)
+    assert partition_to_nested(P) == nested
 
 
 @PROPS

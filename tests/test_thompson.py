@@ -13,10 +13,8 @@ from piecewise_reference import (PiecewiseLinearMap, PLPiece, from_piecewise,
                                  to_piecewise)
 from treefield.cli import main
 from treefield.correlator import CorrelatorRequest, transformed_correlator
-from treefield.dyadic import (LEAF, TRIVIAL_PARTITION, CirclePoint,
-                              DyadicPartition, StdInterval, caret,
-                              partition_to_nested, regular_partition,
-                              tree_to_partition)
+from treefield.dyadic import (TRIVIAL_PARTITION, CirclePoint, DyadicPartition,
+                              StdInterval, partition_to_nested, regular_partition)
 from treefield.models import degenerate_isometry, preset
 from treefield.thompson import (IDENTITY, ThompsonElement, compose,
                                 element_from_document, element_to_document,
@@ -67,29 +65,39 @@ def test_s_equals_a_compose_c():
     assert equal(S, compose(A, C))
 
 
+def leaves(doc, a=0, l=0):
+    """Reference: the (a, l) leaves of a nested tree document, by recursion."""
+    if doc == 0:
+        return [(a, l)]
+    return leaves(doc[0], 2 * a, l + 1) + leaves(doc[1], 2 * a + 1, l + 1)
+
+
+def partition(doc):
+    return DyadicPartition(tuple(StdInterval(a, l) for a, l in leaves(doc)))
+
+
 def tree_pair(domain, range_, rotation=0):
     """Reference: the pairs of the tree pair mapping domain leaf i onto range
-    leaf (i + rotation) mod n, from built trees."""
-    dom, ran = tree_to_partition(domain), tree_to_partition(range_)
+    leaf (i + rotation) mod n."""
+    dom, ran = leaves(domain), leaves(range_)
     assert len(dom) == len(ran)
     k = rotation % len(dom)
-    return tuple((d.left_numerator, d.level, r.left_numerator, r.level)
-                 for d, r in zip(dom, ran.intervals[k:] + ran.intervals[:k]))
+    return tuple(d + r for d, r in zip(dom, ran[k:] + ran[:k]))
 
 
 def test_generator_pairs_match_their_tree_pairs():
-    L = LEAF
-    assert A.pairs == tree_pair(caret(L, caret(L, L)), caret(caret(L, L), L))
-    assert B.pairs == tree_pair(caret(L, caret(L, caret(L, L))),
-                                caret(L, caret(caret(L, L), L)))
-    assert C.pairs == tree_pair(caret(L, caret(L, L)), caret(L, caret(L, L)), 2)
-    assert S.pairs == tree_pair(caret(L, L), caret(L, L), 1)
+    assert A.pairs == tree_pair([0, [0, 0]], [[0, 0], 0])
+    assert B.pairs == tree_pair([0, [0, [0, 0]]], [0, [[0, 0], 0]])
+    assert C.pairs == tree_pair([0, [0, 0]], [0, [0, 0]], 2)
+    assert S.pairs == tree_pair([0, 0], [0, 0], 1)
 
 
 def test_thompson_builds_no_trees_of_its_own():
-    # trees reach this module only through partition_to_tree, for the
-    # treestate references
-    for name in ("BinaryTree", "LEAF", "caret", "tree_to_partition"):
+    # a tree is its partition: there is no tree type, and the Thompson layer
+    # hands partitions straight to the treestate references
+    for name in ("BinaryTree", "LEAF", "caret", "regular_tree"):
+        assert not hasattr(treefield.dyadic, name)
+    for name in ("partition_to_tree", "tree_to_partition"):
         assert not hasattr(thompson_module, name)
 
 
@@ -112,8 +120,8 @@ def test_worked_fraction_reduction():
     # four-leaf fraction whose middle caret pair cancels
     e = element_from_document({"domain": [[0, [0, 0]], 0], "range": [0, [[0, 0], 0]]})
     r = reduce(e)
-    assert r.domain_partition() == tree_to_partition(caret(caret(LEAF, LEAF), LEAF))
-    assert r.range_partition() == tree_to_partition(caret(LEAF, caret(LEAF, LEAF)))
+    assert r.domain_partition() == partition([[0, 0], 0])
+    assert r.range_partition() == partition([0, [0, 0]])
     assert r.rotation == 0
     assert element_to_document(e) == {"domain": [[0, 0], 0], "range": [0, [0, 0]],
                                       "rotation": 0}
@@ -484,3 +492,21 @@ def test_pullback_is_the_exact_preimage(f, cuts):
     if f.n_leaves > 1:  # one step coarser than the range partition
         with pytest.raises(ValueError, match="does not refine"):
             pullback_partition(f, coarsen(f.range_partition()))
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 16).flatmap(lambda L: st.tuples(
+    st.just(L), st.lists(st.integers(0, 1 << L), min_size=2, max_size=2, unique=True))),
+    st.integers(-3, 3), st.integers(0, 63), st.integers(0, 6))
+def test_property_piece_leaf_count_is_the_enumerated_count(ends, c, y, y_level):
+    # a breakpoint table is refused from this count before any pair is listed
+    L, (i, j) = ends
+    i, j = sorted((i, j))
+    try:
+        part = thompson_module._part(Fraction(i, 1 << L), Fraction(j, 1 << L),
+                                     Fraction(y, 1 << y_level), c)
+    except ValueError:  # deeper than MAX_LEVEL
+        return
+    n = thompson_module._leaf_count(*part)
+    assume(n <= 1 << 12)
+    assert n == len(thompson_module._leaves(*part))

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from treefield.dyadic import (LEAF, caret, partition_to_tree,
-                              regular_partition, regular_tree,
-                              tree_to_partition)
+from treefield.dyadic import (TRIVIAL_PARTITION, DyadicPartition, StdInterval,
+                              nested_to_leaves, regular_partition)
 from treefield.models import preset
 from treefield.spectral import Isometry3Box, build_channel, eigendecompose
 from treefield.treestate import (LabelledTree, isometry_matrix,
@@ -28,20 +27,23 @@ def random_swap_isometry(d, seed):
     return Isometry3Box(Q)
 
 
-def random_tree(rng, n_leaves):
-    t = LEAF
+def tree(doc):
+    """The partition of a nested tree document (0 a leaf, [left, right] a caret)."""
+    return DyadicPartition(tuple(StdInterval(a, l) for a, l in nested_to_leaves(doc)))
+
+
+def random_partition(rng, n_leaves):
+    P = TRIVIAL_PARTITION
     for _ in range(n_leaves - 1):
-        P = tree_to_partition(t)
         P = P.refine_at(int(rng.integers(0, len(P))))
-        t = partition_to_tree(P)
-    return t
+    return P
 
 
 def test_all_identity_leaves():
     V = preset("qutrit").isometry
     rng = np.random.default_rng(0)
     for n in (1, 2, 5, 8):
-        t = LabelledTree(random_tree(rng, n))
+        t = LabelledTree(random_partition(rng, n))
         assert abs(vacuum_expectation(t, V) - 1.0) < 1e-14
         assert abs(oracle_expectation(t, V) - 1.0) < 1e-12
 
@@ -52,22 +54,22 @@ def test_one_point_law_regular_trees():
     V = random_swap_isometry(2, 1)
     S = eigendecompose(build_channel(V))
     for m in range(0, 7):
-        tree = regular_tree(m)
+        P = regular_partition(m)
         for a in (1, 2, 3):
             lam, mu = S.eigenvalues[a], S.right_ops[a]
             want = lam ** m * np.trace(mu) / 2
-            leaves = [0, tree.leaf_count() - 1, tree.leaf_count() // 2]
+            leaves = [0, len(P) - 1, len(P) // 2]
             for j in sorted(set(leaves)):
-                got = vacuum_expectation(LabelledTree(tree, {j: mu}), V)
+                got = vacuum_expectation(LabelledTree(P, {j: mu}), V)
                 assert abs(got - want) < 1e-10, (m, a, j)
 
 
 def test_qutrit_one_point_values():
     # non-identity qutrit eigen-operators are traceless: all one-points vanish
     m = preset("qutrit")
-    tree = regular_tree(3)
+    P = regular_partition(3)
     for a in range(1, 9):
-        got = vacuum_expectation(LabelledTree(tree, {2: m.spectral.right_ops[a]}),
+        got = vacuum_expectation(LabelledTree(P, {2: m.spectral.right_ops[a]}),
                                  m.isometry)
         assert abs(got) < 1e-12
 
@@ -77,12 +79,12 @@ def test_engine_matches_oracle_random():
     rng = np.random.default_rng(2)
     for _ in range(200):
         n = int(rng.integers(1, 9))
-        tree = random_tree(rng, n)
+        P = random_partition(rng, n)
         ops = {}
         for j in range(n):
             if rng.random() < 0.4:
                 ops[j] = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        t = LabelledTree(tree, ops)
+        t = LabelledTree(P, ops)
         e = vacuum_expectation(t, V)
         o = oracle_expectation(t, V)
         assert abs(e - o) < 1e-10
@@ -90,13 +92,13 @@ def test_engine_matches_oracle_random():
 
 def test_oracle_size_cap(monkeypatch):
     V = preset("qutrit").isometry
-    t = LabelledTree(regular_tree(4))  # 3^16 states
+    t = LabelledTree(regular_partition(4))  # 3^16 states
     with pytest.raises(ValueError, match="oracle size exceeded"):
         oracle_expectation(t, V)
     with pytest.raises(ValueError, match="oracle size exceeded"):
-        isometry_matrix(t.tree, V, cap=100)
+        isometry_matrix(t.partition, V, cap=100)
     # the environment variable overrides the default cap
-    small = LabelledTree(regular_tree(2))
+    small = LabelledTree(regular_partition(2))
     monkeypatch.setenv("TREEFIELD_ORACLE_CAP", "10")
     with pytest.raises(ValueError, match="oracle size exceeded"):
         oracle_expectation(small, V)
@@ -108,17 +110,16 @@ def test_refinement_below_identity_leaf_is_invariant():
     V = preset("qutrit").isometry
     rng = np.random.default_rng(3)
     mu = preset("qutrit").spectral.right_ops[3]
-    tree = caret(LEAF, caret(LEAF, LEAF))
-    base = vacuum_expectation(LabelledTree(tree, {1: mu}), V)
+    base = vacuum_expectation(LabelledTree(tree([0, [0, 0]]), {1: mu}), V)
     # grow a caret below leaf 2 (identity): value unchanged
-    finer = caret(LEAF, caret(LEAF, caret(LEAF, LEAF)))
+    finer = tree([0, [0, [0, 0]]])
     refined = vacuum_expectation(LabelledTree(finer, {1: mu}), V)
     assert abs(base - refined) < 1e-14
 
 
 def test_dimension_mismatch():
     V = preset("qutrit").isometry
-    t = LabelledTree(caret(LEAF, LEAF), {0: np.eye(2)})
+    t = LabelledTree(regular_partition(1), {0: np.eye(2)})
     with pytest.raises(ValueError, match="dimension mismatch"):
         vacuum_expectation(t, V)
 
@@ -138,16 +139,16 @@ def test_forest_conjugation_invariance_of_weighted_insertions():
         if abs(lam) < 1e-9:
             continue
         op = lam ** (-P[k].level) * mu
-        base = vacuum_expectation(LabelledTree(partition_to_tree(P), {k: op}), V)
+        base = vacuum_expectation(LabelledTree(P, {k: op}), V)
         Q = P.refine_at(k)  # split the insertion leaf; the op descends left
         op2 = lam ** (-Q[k].level) * mu
-        refined = vacuum_expectation(LabelledTree(partition_to_tree(Q), {k: op2}), V)
+        refined = vacuum_expectation(LabelledTree(Q, {k: op2}), V)
         assert abs(base - refined) < 1e-10
 
 
 def test_pair_vacuum_all_identity():
     V = preset("qutrit").isometry
-    got = pair_vacuum_expectation_batch(regular_tree(2), V, {})
+    got = pair_vacuum_expectation_batch(regular_partition(2), V, {})
     assert got.shape == (1,) and abs(got[0] - 1.0) < 1e-14
 
 
@@ -155,16 +156,17 @@ def test_pair_vacuum_matches_state_vector():
     # independent check: build the pair-rooted state vector explicitly
     V = random_isometry(2, 7)
     rng = np.random.default_rng(8)
-    tree = caret(caret(LEAF, LEAF), caret(LEAF, caret(LEAF, LEAF)))
-    L = isometry_matrix(tree.left, V)
-    R = isometry_matrix(tree.right, V)
+    left, right = [0, 0], [0, [0, 0]]
+    L = isometry_matrix(tree(left), V)
+    R = isometry_matrix(tree(right), V)
     vec = np.einsum("xj,yj->xy", L, R).reshape(-1) / np.sqrt(2)
-    n = tree.leaf_count()
+    P = tree([left, right])
+    n = len(P)
     ops = {0: rng.normal(size=(2, 2)), 3: rng.normal(size=(2, 2)) + 1j}
     S = vec.reshape((2,) * n)
     for idx, op in ops.items():
         S = np.moveaxis(np.tensordot(op, S, axes=(1, idx)), 0, idx)
     want = np.vdot(vec.reshape((2,) * n), S)
     batched = {i: np.asarray(op, dtype=complex)[None] for i, op in ops.items()}
-    got = pair_vacuum_expectation_batch(tree, V, batched)
+    got = pair_vacuum_expectation_batch(P, V, batched)
     assert got.shape == (1,) and abs(got[0] - want) < 1e-12
