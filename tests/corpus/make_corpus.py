@@ -1,9 +1,18 @@
-"""Writes `cli.jsonl`, a characterization corpus of the `treefield` CLI.
+"""Writes two characterization corpora of `treefield`.
 
-Every command below runs in process through `treefield.cli.main`; the corpus
-holds one JSON line per command, {"argv", "stdout", "stderr", "code"}, after
-a header line that records the Python and numpy versions the outputs were
-made with.  `tests/test_corpus.py` replays each line and compares bytes.
+`cli.jsonl`: every command below runs in process through `treefield.cli.main`,
+one JSON line per command, {"argv", "stdout", "stderr", "code"}.
+
+`ops.jsonl`: library operations on requests drawn from this script's own
+seed (`OPS_SEED`), one JSON line per op, {"op", "input", "output"}: the
+output is the `repr` of the value, or the error text.  The ops are vacuum
+n-point requests (n = 2..32, a few pair-labelled n = 128 requests and
+δ-labelled n = 256 requests beyond double range), depth-8 grid-3 staircase
+profiles for x at levels 0..10, and correlators in Thompson-word states.
+
+Each file starts with a header line that records the Python and numpy
+versions the outputs were made with.  `tests/test_corpus.py` replays each
+line and compares bytes.
 
 Paths in the commands are relative to this directory, which the script (and
 the replay) make the working directory; the input files they name are
@@ -15,11 +24,14 @@ written here first.  Run from the repository root:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
 import platform
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import List, Tuple
 
@@ -27,6 +39,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "cli.jsonl"
+OPS_CORPUS = HERE / "ops.jsonl"
 # argparse wraps its usage lines to the terminal width
 ENVIRONMENT = {"COLUMNS": "80", "LINES": "24"}
 
@@ -254,6 +267,104 @@ def commands() -> List[List[str]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# library operations
+
+OPS_SEED = 1
+DELTA_LABELS = ("d1", "d2")
+PAIR_LABELS = ("b1", "b2", "b3", "a1", "a2", "a3")
+STAIRCASE_DEPTH, STAIRCASE_GRID = 8, 3
+
+
+def _points(rng: random.Random, n: int) -> List[str]:
+    """n distinct sorted points: each a/2^16 or p/q with q odd, 3 <= q < 4096."""
+    pts = set()
+    while len(pts) < n:
+        if rng.random() < 0.5:
+            pts.add(Fraction(rng.randrange(1 << 16), 1 << 16))
+        else:
+            q = rng.randrange(3, 4096, 2)
+            pts.add(Fraction(rng.randrange(1, q), q))
+    return [f"{x.numerator}/{x.denominator}" for x in sorted(pts)]
+
+
+def _labels(rng: random.Random, n: int, delta: bool) -> List[str]:
+    """δ labels, or equal-label pairs (and one δ label when n is odd)."""
+    if delta:
+        return [rng.choice(DELTA_LABELS) for _ in range(n)]
+    out: List[str] = []
+    for _ in range(n // 2):
+        out += [rng.choice(PAIR_LABELS)] * 2
+    return out + [rng.choice(DELTA_LABELS)] * (n % 2)
+
+
+def _word(rng: random.Random, length: int) -> str:
+    """Freely reduced word over A, B, C, S and their inverses."""
+    toks: List[Tuple[str, str]] = []
+    while len(toks) < length:
+        t = (rng.choice("ABCS"), rng.choice(("", "^-1")))
+        if not (toks and toks[-1][0] == t[0] and toks[-1][1] != t[1]):
+            toks.append(t)
+    return " ".join(g + s for g, s in toks)
+
+
+def ops() -> List[Tuple[str, dict]]:
+    """(op, input) of every corpus op, drawn from `OPS_SEED`."""
+    rng = random.Random(f"ops/{OPS_SEED}")
+    out: List[Tuple[str, dict]] = []
+    for n in range(2, 33):
+        for delta in (True, True, False):
+            out.append(("npoint", {"positions": _points(rng, n),
+                                   "labels": _labels(rng, n, delta)}))
+    for n, delta, count in ((128, False, 4), (256, True, 8)):
+        out += [("npoint", {"positions": _points(rng, n), "labels": _labels(rng, n, delta)})
+                for _ in range(count)]
+    for level in range(11):
+        for _ in range(2):
+            alpha = rng.choice(DELTA_LABELS + PAIR_LABELS)
+            beta = alpha if rng.random() < 0.75 else rng.choice(DELTA_LABELS + PAIR_LABELS)
+            out.append(("staircase", {"x": str(Fraction(rng.randrange(1 << level), 1 << level)),
+                                      "alpha": alpha, "beta": beta,
+                                      "depth": STAIRCASE_DEPTH, "grid": STAIRCASE_GRID}))
+    for length in (8, 16, 32):
+        for k in range(24):
+            doc = {"positions": _points(rng, 4), "labels": _labels(rng, 4, k % 4 != 3)}
+            out.append(("npoint", {**doc, "state": {"word": _word(rng, length)}}))
+    for _ in range(48):
+        n = rng.randint(1, 6)
+        doc = {"positions": _points(rng, n), "labels": _labels(rng, n, rng.random() < 0.75)}
+        out.append(("npoint", {**doc, "state": {"word": _word(rng, rng.randint(1, 40))}}))
+    # neighbours 2^-64 and 2^-65 apart, at the level cap, in the vacuum and in states
+    for x, k in ((Fraction(0), 64), (Fraction(1, 3), 64), (Fraction(1, 3), 65)):
+        for state in ("vacuum", {"word": "A B"}, {"word": "C S^-1 A"}):
+            out.append(("npoint", {"positions": [str(x), str(x + Fraction(1, 1 << k))],
+                                   "labels": ["d1", "d2"], "state": state}))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def qutrit():
+    from treefield.models import preset
+    return preset("qutrit")
+
+
+def run_op(op: str, item: dict) -> str:
+    """repr of the op's output on the qutrit, or its error text."""
+    from treefield import correlator
+
+    model = qutrit()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # the n = 256 requests overflow
+            if op == "staircase":
+                return repr(tuple(correlator.staircase_samples(
+                    item["x"], item["alpha"], item["beta"], item["depth"], item["grid"],
+                    model)))
+            return repr(correlator.n_point(correlator.request_from_document(item, model),
+                                           model))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 def main() -> None:
     os.chdir(HERE)
     os.environ.update(ENVIRONMENT)
@@ -267,6 +378,12 @@ def main() -> None:
                                  "code": code}, ensure_ascii=False, sort_keys=True))
     CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{CORPUS.name}: {len(lines) - 1} commands", file=sys.stderr)
+    lines = [json.dumps(header(), sort_keys=True)]
+    for op, item in ops():
+        lines.append(json.dumps({"op": op, "input": item, "output": run_op(op, item)},
+                                ensure_ascii=False, sort_keys=True))
+    OPS_CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{OPS_CORPUS.name}: {len(lines) - 1} ops", file=sys.stderr)
 
 
 if __name__ == "__main__":
