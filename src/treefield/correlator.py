@@ -17,10 +17,11 @@ Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication, so negative eigenvalues never meet a complex
 logarithm branch.  A request keeps its positions as `CirclePoint`s, integer
 pairs (p, q), and the vacuum n-point reads its occupied leaves from the
-first 64 binary digits of each, (p << 64) // q: no `Fraction`, interval or
-partition is built on that path.  Slots are found by
-`DyadicPartition.index_of` bisection only on an explicit `partition=` and
-on the transformed path's Q.
+first 64 binary digits of each, (p << 64) // q.  A Thompson-transformed
+correlator pulls each of those leaves, or the deeper image leaf of the
+state holding it, back through one leaf pair of the state.  Neither path
+builds a `Fraction`, an interval or a partition.  Slots are found by
+`DyadicPartition.index_of` bisection only on an explicit `partition=`.
 """
 
 from __future__ import annotations
@@ -135,13 +136,13 @@ def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
     return [(P[k].left_numerator, P[k].level, vecs[k]) for k in sorted(vecs)]
 
 
-def _vacuum_leaves(req: CorrelatorRequest, model: ModelSpec) -> List[Leaf]:
-    """The occupied leaves of the request's minimal supporting partition,
-    straight from the integer pairs (p, q): X = (p << 64) // q holds the
-    first 64 binary digits of p/q, neighbours share c = 64 - bit_length(X
-    xor X') of them, and an insertion sits one level below the deeper of
-    its two neighbour carets.  Neighbours that share all 64 digits would
-    need a deeper partition."""
+def _vacuum_geometry(req: CorrelatorRequest) -> List[Tuple[int, int]]:
+    """The leaf (a, l) of each insertion in the request's minimal supporting
+    partition, straight from the integer pairs (p, q): X = (p << 64) // q
+    holds the first 64 binary digits of p/q, neighbours share c = 64 -
+    bit_length(X xor X') of them, and an insertion sits one level below the
+    deeper of its two neighbour carets.  Neighbours that share all 64 digits
+    would need a deeper partition."""
     X = [(p << MAX_LEVEL) // q for p, q in req.point_pairs()]
     carets = [-1]
     for x, y in zip(X, X[1:]):
@@ -149,14 +150,21 @@ def _vacuum_leaves(req: CorrelatorRequest, model: ModelSpec) -> List[Leaf]:
             raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
         carets.append(MAX_LEVEL - (x ^ y).bit_length())
     carets.append(-1)
+    leaves = []
+    for i, x in enumerate(X):
+        l = max(carets[i], carets[i + 1]) + 1
+        leaves.append((x >> (MAX_LEVEL - l), l))
+    return leaves
+
+
+def _weighted(leaves: Sequence[Tuple[int, int]], insertions: Sequence[FieldInsertion],
+              model: ModelSpec) -> List[Leaf]:
+    """(a, l, vec) for each insertion on its leaf (a, l): vec holds the
+    coordinates of the weighted insertion lambda_a^{-l} mu^a."""
     lam = model.eigenvalues
     basis = model.evaluation.basis
-    leaves: List[Leaf] = []
-    for i, (x, ins) in enumerate(zip(X, req.insertions)):
-        l = max(carets[i], carets[i + 1]) + 1
-        leaves.append((x >> (MAX_LEVEL - l), l,
-                       ipow(lam[ins.label], -l) * basis[:, ins.label]))
-    return leaves
+    return [(a, l, ipow(lam[ins.label], -l) * basis[:, ins.label])
+            for (a, l), ins in zip(leaves, insertions)]
 
 
 def _evaluate(leaves: Sequence[Leaf], model: ModelSpec) -> complex:
@@ -216,7 +224,7 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
     if partition is None:
-        return _evaluate(_vacuum_leaves(req, model), model)
+        return _evaluate(_weighted(_vacuum_geometry(req), req.insertions, model), model)
     msp = minimal_supporting_partition([ins.position for ins in req.insertions])
     if not is_refinement(msp, partition):
         raise ValueError("partition does not refine the minimal supporting partition")
@@ -401,16 +409,36 @@ def staircase_csv(rows: Sequence[Tuple[str, float, float, float]]) -> str:
 # Thompson-transformed correlators
 
 
+def _transformed_leaves(f: th.ThompsonElement, req: CorrelatorRequest,
+                        model: ModelSpec) -> List[Leaf]:
+    """The occupied leaves of the pulled-back tree, left to right.  The
+    insertion at z sits on Q, the common refinement of f's range partition
+    and the minimal supporting partition, in the deeper of two leaves that
+    hold z: its vacuum leaf (c, k) and the image [b/2^m, (b+1)/2^m) of f's
+    pair (a, l, b, m) holding z.  That leaf, of level k >= m, is weighted at
+    level k and pulled back through the pair's affine piece to
+    ((a << d) + c - (b << d), l + d), d = k - m."""
+    pairs = [f.image_pair_at(ins.position) for ins in req.insertions]
+    on_q = [(b, m) if k <= m else (c, k)
+            for (c, k), (_, _, b, m) in zip(_vacuum_geometry(req), pairs)]
+    leaves = []
+    for (c, k, vec), (a, l, b, m) in zip(_weighted(on_q, req.insertions, model), pairs):
+        d = k - m
+        leaves.append(((a << d) + c - (b << d), l + d, vec))
+    L = max((l for _, l, _ in leaves), default=0)
+    leaves.sort(key=lambda leaf: leaf[0] << (L - leaf[1]))
+    return leaves
+
+
 def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
                                  model: ModelSpec) -> complex:
     """Direct evaluation of <U(f) Omega| prod phi(z_j) |U(f) Omega>: the
-    insertions sit on Q, the common refinement of f's range partition and
-    their minimal supporting partition (the coarsest such Q when f is
-    reduced), on the vacuum tree of f^{-1}(Q)."""
-    positions = [ins.position for ins in req.insertions]
-    Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
-    P, vecs = th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model))
-    return _evaluate(_occupied(P, vecs), model)
+    vacuum correlator on the pulled-back tree f^{-1}(Q), Q the common
+    refinement of f's range partition and the insertions' minimal supporting
+    partition (the coarsest such Q when f is reduced), read from one leaf
+    pair of f per insertion with no partition built.  `thompson.pulled_back`
+    builds Q and f^{-1}(Q) in full, as the reference."""
+    return _evaluate(_transformed_leaves(f, req, model), model)
 
 
 def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,

@@ -5,10 +5,11 @@ A point is its reduced integer pair (p, q), 0 <= p < q (`CirclePoint`); a
 dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
 the coarse-graining distance read its level from q.  `CirclePoint.parse`
 reads an ASCII 'p/q' or a binary expansion with `int` calls and leaves every
-other spelling to `Fraction(str)`.  A standard interval is its integer
-(left numerator, level) pair.  A finite binary tree is its dyadic
-partition: the leaves are the standard intervals, a left child the left
-half of its parent, so no tree object is built.  Partition checks and
+other spelling to `Fraction(str)` once a decimal exponent is sized.  A
+standard interval is its integer (left numerator, level) pair.  A finite
+binary tree is its dyadic partition: the leaves are the standard
+intervals, a left child the left half of its parent, so no tree object is
+built.  Partition checks and
 `fold_tree`, one stack pass folding a partition's tree, run on those
 integers.  Nested documents (0 a leaf, [left, right] a caret) are written by
 that fold and read by one explicit-stack pass straight to (a, l) leaves, so
@@ -30,6 +31,8 @@ including the last one.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -37,6 +40,11 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
+MAX_POINT_DIGITS = sys.int_info.default_max_str_digits  # CPython's int<->str limit, 4300
+# a decimal literal with an exponent as `Fraction(str)` reads one: integer
+# digits, fraction digits and exponent
+_EXPONENT_LITERAL = (r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
+                     r"[eE]([-+]?\d+(?:_\d+)*)")
 
 PointLike = Union["CirclePoint", Fraction, int, str]
 T = TypeVar("T")
@@ -76,7 +84,10 @@ class CirclePoint:
         `Fraction` literal (an integer, a decimal such as '0.25' or '3e-2').
         A binary expansion and an ASCII 'p/q' are read with `int` calls;
         every other spelling goes through `Fraction(str)`, which gives the
-        same values and errors."""
+        same values and errors.  A literal with an exponent is sized first,
+        since `Fraction` computes its power of ten in full: a zero reads as
+        0, and a value that would need more than MAX_POINT_DIGITS digits,
+        as an integer or in the denominator 10^k, is refused."""
         s = text.strip()
         if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
             return CirclePoint(int(s[2:], 2), 1 << (len(s) - 2))
@@ -84,6 +95,18 @@ class CirclePoint:
         try:
             if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
                 return CirclePoint(int(p), int(q))
+            m = re.fullmatch(_EXPONENT_LITERAL, s)
+            if m:  # Fraction(s) computes 10^|e| in full: size the value first
+                whole, decimals, e = (g.replace("_", "") for g in m.groups(""))
+                digits = (whole + decimals).lstrip("0")
+                if not digits:
+                    return CirclePoint(0, 1)
+                # the value is int(digits) 10^E: an integer, or a fraction over 10^-E
+                too_long = len(e.lstrip("+-")) > MAX_POINT_DIGITS  # int(e) would be refused
+                E = 0 if too_long else int(e) - len(decimals)
+                if too_long or (len(digits) + E if E >= 0 else 1 - E) > MAX_POINT_DIGITS:
+                    raise ValueError(f"point {text!r} needs more than "
+                                     f"{MAX_POINT_DIGITS} digits")
             return CirclePoint(Fraction(s))
         except ZeroDivisionError:
             raise ValueError(f"point {text!r} has a zero denominator") from None

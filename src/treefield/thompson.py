@@ -15,8 +15,9 @@ tree-pair documents go straight between nested lists and (a, l) leaves
 (`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`), and breakpoint
 tables are split into leaves on integers.  Point evaluation, slopes and the
 Schwarzian measure read the pairs: a point p/q is located by bisection over
-the domain leaves, with no `Fraction`.  The transformed expectation and the
-vacuum-invariance check hand partitions to the `treestate` matrix
+the domain leaves, with no `Fraction`, and over the image leaves for the
+transformed correlator (`image_pair_at`).  The transformed expectation and
+the vacuum-invariance check hand partitions to the `treestate` matrix
 references.
 """
 
@@ -103,6 +104,24 @@ class ThompsonElement:
             else:
                 hi = mid - 1
         return pairs[lo]
+
+    def image_pair_at(self, x: CirclePoint) -> LeafPair:
+        """The pair whose image leaf holds x in [0,1), the image-side twin of
+        `_pair_at`: in image order, from the pair whose image starts at 0,
+        the last one whose image starts at or before x = p/q, that is
+        b q <= p 2^m (bisection)."""
+        pairs = self.pairs
+        n = len(pairs)
+        k = self._first_image()
+        lo, hi = 0, n - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            _, _, b, m = pairs[(k + mid) % n]
+            if b * x.q <= x.p << m:
+                lo = mid
+            else:
+                hi = mid - 1
+        return pairs[(k + lo) % n]
 
     def __call__(self, x: PointLike) -> CirclePoint:
         """f(x) for x = p/q in [0,1): on the pair (a, l, b, m) holding x,

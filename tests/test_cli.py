@@ -545,6 +545,31 @@ def test_slope_exponent_bounded_before_power(capsys, tmp_path):
         assert result == (1, "", message)
 
 
+def test_decimal_exponents_bounded_before_power(capsys):
+    # Fraction(str) computes 10^|e| in full: 1e-100000000 ran for minutes and
+    # 1e5000 ended in CPython's own int/str message.  A literal whose
+    # numerator or denominator would need more than 4300 digits is refused
+    # first.  Each runs in a fresh interpreter under a timeout, as from a shell
+    src = Path(__file__).resolve().parent.parent / "src"
+    for x in ("1e-100000000", "1e5000", "1e-5000", "1e+99999999"):
+        proc = subprocess.run([sys.executable, "-m", "treefield", "correlator",
+                               "--model", "qutrit", "--at", "0", "--at", x,
+                               "--fields", "d1", "d1"],
+                              capture_output=True, text=True, timeout=20,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"error: point '{x}' needs more than 4300 digits\n")
+    # the other commands that read points share the parse
+    message = "error: point '1e-100000000' needs more than 4300 digits\n"
+    for argv in (["thompson", "apply", "A", "1e-100000000"],
+                 ["staircase", "--model", "qutrit", "--x", "1e-100000000",
+                  "--alpha", "d1", "--beta", "d1", "--grid", "2"]):
+        start = time.perf_counter()
+        result = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert result == (1, "", message)
+
+
 def test_pieces_tables_bounded_before_enumeration(capsys, tmp_path):
     # the rotation by 2^-k reduces to 2^k leaf pairs: k = 12 is read, and
     # k = 13 and a 40-byte table with k = 40 are refused from the count

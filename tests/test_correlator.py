@@ -11,7 +11,8 @@ from test_dyadic import deep_partitions
 from treefield import thompson as th
 from treefield import treestate
 from treefield.correlator import (CorrelatorRequest, FieldInsertion,
-                                  _evaluate, _occupied, ipow, n_point,
+                                  _evaluate, _label_vectors, _occupied,
+                                  _transformed_leaves, ipow, n_point,
                                   ope_terms, regular_two_point,
                                   request_from_document, smeared_expectation,
                                   staircase_csv, staircase_samples,
@@ -785,6 +786,68 @@ def test_transformed_by_s_is_rotation(qutrit):
     # rotation invariance equals the value at the original points
     pre = CorrelatorRequest.make([frac("1/4"), frac("5/8")], ["δ¹", "δ¹"], qutrit)
     assert abs(lhs - n_point(pre, qutrit)) < 1e-12
+
+
+def pulled_back_leaves(f, req, model):
+    """The transformed path's occupied leaves as the partitions give them: Q,
+    the common refinement of f's range partition and the minimal supporting
+    partition, its slot vectors, and the pulled-back partition f^{-1}(Q)."""
+    Q = common_refinement(f.range_partition(), minimal_supporting_partition(
+        [ins.position for ins in req.insertions]))
+    return _occupied(*th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model)))
+
+
+def leaf_outcome(fn, *args):
+    """(a, l, vector bytes) of every leaf, or the error message."""
+    try:
+        return [(a, l, v.tobytes()) for a, l, v in fn(*args)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+WORD_LETTERS = {"F": ["A", "B", "A^-1", "B^-1"],
+                "T": ["A", "B", "C", "S", "A^-1", "B^-1", "C^-1", "S^-1"]}
+
+
+@settings(max_examples=200)
+@given(st.sampled_from("FT").flatmap(
+           lambda group: st.lists(st.sampled_from(WORD_LETTERS[group]), max_size=40)),
+       close_requests(), st.data())
+def test_property_transformed_leaves_match_the_pullback(word, points, data):
+    # each insertion's leaf of Q pulled back through the one pair whose image
+    # holds it, against Q and f^{-1}(Q) built in full: the same leaves and
+    # vectors and the same value to the bit, or the same refusal at level 64
+    model = evaluator_models()[data.draw(st.integers(0, 2))]
+    f = th.reduce(th.parse_word(" ".join(word)))
+    labels = [l for l in range(len(model.labels)) if not model.zero_weight[l]]
+    req = CorrelatorRequest.make(
+        points, data.draw(st.lists(st.sampled_from(labels), min_size=len(points),
+                                   max_size=len(points))), model)
+    assert (leaf_outcome(_transformed_leaves, f, req, model)
+            == leaf_outcome(pulled_back_leaves, f, req, model))
+    assert (outcome(transformed_state_correlator, f, req, model)
+            == outcome(lambda *args: _evaluate(pulled_back_leaves(*args), model), f, req, model))
+
+
+def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch):
+    # once the request is parsed, a state from parse_word reaches the
+    # evaluator without an interval or a partition
+    doc = {"positions": ["1/7", "1/4", "2/3", "65535/65536"],
+           "labels": ["δ¹", "δ²", "δ¹", "δ²"], "state": {"word": "C B^-1 A S A B"}}
+    req = request_from_document(doc, qutrit)
+    f = th.reduce(req.state)
+    vacuum = CorrelatorRequest(req.insertions)
+    want = _evaluate(pulled_back_leaves(f, vacuum, qutrit), qutrit)
+    assert want != 0 and math.isfinite(abs(want))
+
+    def refuse_built(self):
+        raise AssertionError(f"{type(self).__name__} built on the transformed path")
+
+    monkeypatch.setattr(StdInterval, "__post_init__", refuse_built)
+    monkeypatch.setattr(DyadicPartition, "__post_init__", refuse_built)
+    assert repr(n_point(req, qutrit)) == repr(want)
+    with pytest.raises(AssertionError, match="built on the transformed path"):
+        pulled_back_leaves(f, vacuum, qutrit)
 
 
 def test_request_document_round_trip(qutrit):

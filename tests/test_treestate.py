@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from treefield.dyadic import (TRIVIAL_PARTITION, DyadicPartition, StdInterval,
-                              nested_to_leaves, regular_partition)
+                              fold_tree, nested_to_leaves, regular_partition)
 from treefield.models import preset
 from treefield.spectral import Isometry3Box, build_channel, eigendecompose
-from treefield.treestate import (LabelledTree, isometry_matrix,
+from treefield.treestate import (LabelledTree, apply_leaf_ops, isometry_matrix,
                                  oracle_expectation,
                                  pair_vacuum_expectation_batch,
                                  vacuum_expectation)
@@ -39,6 +39,27 @@ def random_partition(rng, n_leaves):
     return P
 
 
+def fold_isometry(P, V):
+    """Phi(t) as a dense (d^leaves, d) matrix built bottom-up by
+    `dyadic.fold_tree`, a stack pass that shares nothing with the engines'
+    top-down `_walk`: each caret maps its children's (X, d) and (Y, d)
+    blocks through V to one (XY, d) block."""
+    d, T = V.d, V.tensor
+
+    def join(L, R):
+        M = np.tensordot(np.tensordot(L, T, axes=(1, 0)), R, axes=(1, 1))  # (X, l, Y)
+        return M.transpose(0, 2, 1).reshape(-1, d)
+
+    return fold_tree(P, lambda k: np.eye(d, dtype=complex), join)
+
+
+def fold_oracle(t, V):
+    """(1/d) sum_i <Phi(t) i| M |Phi(t) i> on the folded Phi(t)."""
+    phi = fold_isometry(t.partition, V)
+    S = apply_leaf_ops(phi, len(t.partition), V.d, t.leaf_ops)
+    return complex(np.vdot(phi, S) / V.d)
+
+
 def test_all_identity_leaves():
     V = preset("qutrit").isometry
     rng = np.random.default_rng(0)
@@ -46,6 +67,8 @@ def test_all_identity_leaves():
         t = LabelledTree(random_partition(rng, n))
         assert abs(vacuum_expectation(t, V) - 1.0) < 1e-14
         assert abs(oracle_expectation(t, V) - 1.0) < 1e-12
+        # the state itself, not only its norm, is the folded tree's
+        assert np.abs(isometry_matrix(t.partition, V) - fold_isometry(t.partition, V)).max() < 1e-12
 
 
 def test_one_point_law_regular_trees():
@@ -87,7 +110,9 @@ def test_engine_matches_oracle_random():
         t = LabelledTree(P, ops)
         e = vacuum_expectation(t, V)
         o = oracle_expectation(t, V)
-        assert abs(e - o) < 1e-10
+        ref = fold_oracle(t, V)
+        assert abs(e - ref) < 1e-10
+        assert abs(o - ref) < 1e-10
 
 
 def test_oracle_size_cap(monkeypatch):
