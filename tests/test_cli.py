@@ -546,10 +546,10 @@ def test_slope_exponent_bounded_before_power(capsys, tmp_path):
 
 
 def test_decimal_exponents_bounded_before_power(capsys):
-    # Fraction(str) computes 10^|e| in full: 1e-100000000 ran for minutes and
-    # 1e5000 ended in CPython's own int/str message.  A literal whose
-    # numerator or denominator would need more than 4300 digits is refused
-    # first.  Each runs in a fresh interpreter under a timeout, as from a shell
+    # Fraction(str) computes 10^|e| in full, so a 12-byte literal can run for
+    # minutes or end in CPython's own int/str message; a literal whose value
+    # would need more than 4300 digits is refused before that.  Each runs in
+    # a fresh interpreter under a timeout, as from a shell
     src = Path(__file__).resolve().parent.parent / "src"
     for x in ("1e-100000000", "1e5000", "1e-5000", "1e+99999999"):
         proc = subprocess.run([sys.executable, "-m", "treefield", "correlator",

@@ -836,8 +836,7 @@ def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch
            "labels": ["δ¹", "δ²", "δ¹", "δ²"], "state": {"word": "C B^-1 A S A B"}}
     req = request_from_document(doc, qutrit)
     f = th.reduce(req.state)
-    vacuum = CorrelatorRequest(req.insertions)
-    want = _evaluate(pulled_back_leaves(f, vacuum, qutrit), qutrit)
+    want = _evaluate(pulled_back_leaves(f, req, qutrit), qutrit)
     assert want != 0 and math.isfinite(abs(want))
 
     def refuse_built(self):
@@ -847,7 +846,7 @@ def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch
     monkeypatch.setattr(DyadicPartition, "__post_init__", refuse_built)
     assert repr(n_point(req, qutrit)) == repr(want)
     with pytest.raises(AssertionError, match="built on the transformed path"):
-        pulled_back_leaves(f, vacuum, qutrit)
+        pulled_back_leaves(f, req, qutrit)
 
 
 def test_request_document_round_trip(qutrit):

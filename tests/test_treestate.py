@@ -68,7 +68,8 @@ def test_all_identity_leaves():
         assert abs(vacuum_expectation(t, V) - 1.0) < 1e-14
         assert abs(oracle_expectation(t, V) - 1.0) < 1e-12
         # the state itself, not only its norm, is the folded tree's
-        assert np.abs(isometry_matrix(t.partition, V) - fold_isometry(t.partition, V)).max() < 1e-12
+        phi = isometry_matrix(t.partition, V)
+        assert np.abs(phi - fold_isometry(t.partition, V)).max() < 1e-12
 
 
 def test_one_point_law_regular_trees():
