@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -136,13 +136,13 @@ def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
     return [(P[k].left_numerator, P[k].level, vecs[k]) for k in sorted(vecs)]
 
 
-def _vacuum_geometry(req: CorrelatorRequest) -> List[Tuple[int, int]]:
-    """The leaf (a, l) of each insertion in the request's minimal supporting
-    partition, straight from the integer pairs (p, q): X = (p << 64) // q
-    holds the first 64 binary digits of p/q, neighbours share c = 64 -
-    bit_length(X xor X') of them, and an insertion sits one level below the
-    deeper of its two neighbour carets.  Neighbours that share all 64 digits
-    would need a deeper partition."""
+def _vacuum_geometry(req: CorrelatorRequest) -> Iterator[Tuple[int, int]]:
+    """Yields the leaf (a, l) of each insertion in the request's minimal
+    supporting partition, straight from the integer pairs (p, q): X = (p <<
+    64) // q holds the first 64 binary digits of p/q, neighbours share c =
+    64 - bit_length(X xor X') of them, and an insertion sits one level below
+    the deeper of its two neighbour carets.  Neighbours that share all 64
+    digits would need a deeper partition."""
     X = [(p << MAX_LEVEL) // q for p, q in req.point_pairs()]
     carets = [-1]
     for x, y in zip(X, X[1:]):
@@ -150,14 +150,12 @@ def _vacuum_geometry(req: CorrelatorRequest) -> List[Tuple[int, int]]:
             raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
         carets.append(MAX_LEVEL - (x ^ y).bit_length())
     carets.append(-1)
-    leaves = []
     for i, x in enumerate(X):
         l = max(carets[i], carets[i + 1]) + 1
-        leaves.append((x >> (MAX_LEVEL - l), l))
-    return leaves
+        yield x >> (MAX_LEVEL - l), l
 
 
-def _weighted(leaves: Sequence[Tuple[int, int]], insertions: Sequence[FieldInsertion],
+def _weighted(leaves: Iterable[Tuple[int, int]], insertions: Sequence[FieldInsertion],
               model: ModelSpec) -> List[Leaf]:
     """(a, l, vec) for each insertion on its leaf (a, l): vec holds the
     coordinates of the weighted insertion lambda_a^{-l} mu^a."""

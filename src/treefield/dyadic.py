@@ -40,7 +40,9 @@ from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
 
 MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
-MAX_POINT_DIGITS = sys.int_info.default_max_str_digits  # CPython's int<->str limit, 4300
+# the most digits a decimal literal's value may need; `Fraction(str)` takes
+# about 0.25 s to compute a power of ten this long (one Xeon core)
+MAX_LITERAL_DIGITS = 10 ** 6
 # a decimal literal with an exponent as `Fraction(str)` reads one: integer
 # digits, fraction digits and exponent
 _EXPONENT_LITERAL = (r"[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)(?:\.(\d*|\d+(?:_\d+)*))?"
@@ -74,7 +76,11 @@ class CirclePoint:
             g = gcd(value, denominator)
             p, q = value // g, denominator // g
         if not 0 <= p < q:
-            raise ValueError(f"{Fraction(p, q)} is not in [0,1)")
+            try:
+                shown = str(Fraction(p, q))
+            except ValueError:  # past CPython's int/str digit limit
+                shown = f"a value of more than {sys.get_int_max_str_digits()} digits"
+            raise ValueError(f"{shown} is not in [0,1)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -83,11 +89,9 @@ class CirclePoint:
         """Accepts 'p/q', a binary expansion '0.b1b2...', or any other
         `Fraction` literal (an integer, a decimal such as '0.25' or '3e-2').
         A binary expansion and an ASCII 'p/q' are read with `int` calls;
-        every other spelling goes through `Fraction(str)`, which gives the
-        same values and errors.  A literal with an exponent is sized first,
-        since `Fraction` computes its power of ten in full: a zero reads as
-        0, and a value that would need more than MAX_POINT_DIGITS digits,
-        as an integer or in the denominator 10^k, is refused."""
+        every other spelling goes through `decimal_fraction`, which gives
+        the values and errors of `Fraction(str)` on any literal whose value
+        needs at most MAX_LITERAL_DIGITS digits."""
         s = text.strip()
         if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
             return CirclePoint(int(s[2:], 2), 1 << (len(s) - 2))
@@ -95,19 +99,7 @@ class CirclePoint:
         try:
             if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
                 return CirclePoint(int(p), int(q))
-            m = re.fullmatch(_EXPONENT_LITERAL, s)
-            if m:  # Fraction(s) computes 10^|e| in full: size the value first
-                whole, decimals, e = (g.replace("_", "") for g in m.groups(""))
-                digits = (whole + decimals).lstrip("0")
-                if not digits:
-                    return CirclePoint(0, 1)
-                # the value is int(digits) 10^E: an integer, or a fraction over 10^-E
-                too_long = len(e.lstrip("+-")) > MAX_POINT_DIGITS  # int(e) would be refused
-                E = 0 if too_long else int(e) - len(decimals)
-                if too_long or (len(digits) + E if E >= 0 else 1 - E) > MAX_POINT_DIGITS:
-                    raise ValueError(f"point {text!r} needs more than "
-                                     f"{MAX_POINT_DIGITS} digits")
-            return CirclePoint(Fraction(s))
+            return CirclePoint(decimal_fraction(s, f"point {text!r}"))
         except ZeroDivisionError:
             raise ValueError(f"point {text!r} has a zero denominator") from None
 
@@ -133,6 +125,28 @@ class CirclePoint:
 
     def __lt__(self, other: "CirclePoint") -> bool:
         return self.p * other.q < other.p * self.q
+
+
+def decimal_fraction(s: str, what: str) -> Fraction:
+    """`Fraction(s)`, with a decimal exponent sized first, since `Fraction`
+    computes 10^|e| in full: a zero mantissa reads as 0, and a value that
+    would need more than MAX_LITERAL_DIGITS digits, as an integer or in the
+    denominator 10^k, is refused as `what`.  Every other literal keeps
+    `Fraction`'s own value or error."""
+    m = re.fullmatch(_EXPONENT_LITERAL, s.strip())
+    if m:
+        whole, decimals, e = (g.replace("_", "") for g in m.groups(""))
+        digits = (whole + decimals).lstrip("0")
+        if not digits:
+            return Fraction(0)
+        # the value is int(digits) 10^E: an integer, or a fraction over 10^-E;
+        # an exponent of more than 18 digits stands in as 10^18, past any bound
+        exp = e.lstrip("+-").lstrip("0") or "0"
+        magnitude = int(exp) if len(exp) <= 18 else 10 ** 18
+        E = (-magnitude if e[0] == "-" else magnitude) - len(decimals)
+        if (len(digits) + E if E >= 0 else 1 - E) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"{what} needs more than {MAX_LITERAL_DIGITS} digits")
+    return Fraction(s)
 
 
 def as_point(x: PointLike) -> CirclePoint:

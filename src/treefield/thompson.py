@@ -32,9 +32,9 @@ import numpy as np
 from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
                      PointLike, StdInterval, as_point, check_regular_level,
-                     common_refinement, identity_pairs, is_refinement,
-                     nested_to_leaves, partition_to_nested, regular_partition,
-                     _compose_pairs)
+                     common_refinement, decimal_fraction, identity_pairs,
+                     is_refinement, nested_to_leaves, partition_to_nested,
+                     regular_partition, _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -269,6 +269,8 @@ def element_from_document(doc) -> ThompsonElement:
 
 def _coordinate(v) -> Fraction:
     try:
+        if isinstance(v, str):
+            return decimal_fraction(v, f"piece coordinate {v!r}")
         return Fraction(v)
     except (TypeError, ZeroDivisionError, OverflowError):
         raise ValueError(f"piece coordinate {v!r} is not a number") from None

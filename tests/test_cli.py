@@ -545,25 +545,39 @@ def test_slope_exponent_bounded_before_power(capsys, tmp_path):
         assert result == (1, "", message)
 
 
-def test_decimal_exponents_bounded_before_power(capsys):
+def test_decimal_exponents_bounded_before_power(capsys, tmp_path):
     # Fraction(str) computes 10^|e| in full, so a 12-byte literal can run for
-    # minutes or end in CPython's own int/str message; a literal whose value
-    # would need more than 4300 digits is refused before that.  Each runs in
-    # a fresh interpreter under a timeout, as from a shell
+    # minutes; a literal whose value would need more than 10^6 digits is
+    # refused before that, and a value past CPython's int/str digit limit is
+    # not printed.  Each point runs in a fresh interpreter under a timeout,
+    # as from a shell
     src = Path(__file__).resolve().parent.parent / "src"
-    for x in ("1e-100000000", "1e5000", "1e-5000", "1e+99999999"):
+    for x, message in (
+            ("1e-100000000", "point '1e-100000000' needs more than 1000000 digits"),
+            ("1e+99999999", "point '1e+99999999' needs more than 1000000 digits"),
+            ("1e5000", f"a value of more than {sys.get_int_max_str_digits()} digits "
+                       "is not in [0,1)"),
+            ("1e-5000", "maximum partition level 64 exceeded")):
         proc = subprocess.run([sys.executable, "-m", "treefield", "correlator",
                                "--model", "qutrit", "--at", "0", "--at", x,
                                "--fields", "d1", "d1"],
                               capture_output=True, text=True, timeout=20,
                               env={**os.environ, "PYTHONPATH": str(src)})
-        assert (proc.returncode, proc.stdout, proc.stderr) == (
-            1, "", f"error: point '{x}' needs more than 4300 digits\n")
-    # the other commands that read points share the parse
-    message = "error: point '1e-100000000' needs more than 4300 digits\n"
-    for argv in (["thompson", "apply", "A", "1e-100000000"],
-                 ["staircase", "--model", "qutrit", "--x", "1e-100000000",
-                  "--alpha", "d1", "--beta", "d1", "--grid", "2"]):
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+    # the other commands that read points share the parse, and breakpoint
+    # tables read their coordinates through the same bound
+    state = {"pieces": [["0", "1e-100000000", 0]]}
+    request = tmp_path / "pieces.json"
+    request.write_text(json.dumps({"positions": ["1/4"], "labels": ["δ¹"],
+                                   "state": state}))
+    point = "error: point '1e-100000000' needs more than 1000000 digits\n"
+    piece = "error: piece coordinate '1e-100000000' needs more than 1000000 digits\n"
+    for argv, message in (
+            (["thompson", "apply", "A", "1e-100000000"], point),
+            (["staircase", "--model", "qutrit", "--x", "1e-100000000",
+              "--alpha", "d1", "--beta", "d1", "--grid", "2"], point),
+            (["thompson", "reduce", json.dumps(state)], piece),
+            (["correlator", "--model", "qutrit", "--request", str(request)], piece)):
         start = time.perf_counter()
         result = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0

@@ -275,6 +275,21 @@ def test_circle_point_range_check():
     for v, shown in ((1, "1"), (Fraction(3, 2), "3/2"), (Fraction(-1, 3), "-1/3")):
         with pytest.raises(ValueError, match=rf"^{shown} is not in \[0,1\)$"):
             CirclePoint(v)
+    # a value past CPython's int/str digit limit is described, not printed
+    with pytest.raises(ValueError, match=r"^a value of more than \d+ digits is not"):
+        CirclePoint(10 ** 5000)
+
+
+def test_decimal_literal_bound_is_a_million_digits():
+    # 1/10^999999 needs 10^6 digits and is read by Fraction; one digit more
+    # is refused before the power is computed, however the literal spells it
+    assert CirclePoint.parse("1e-999999").q == 10 ** 999999
+    for text in ("1e-1000000", "0.1e-999999", "1e1000000", "1_0e999_999",
+                 "1e" + "9" * 40):
+        with pytest.raises(ValueError, match=rf"^point '{text}' needs more "
+                                             r"than 1000000 digits$"):
+            CirclePoint.parse(text)
+    assert CirclePoint.parse("0.0e-99999999") == CirclePoint(0)
 
 
 def test_point_parsing_round_trip():

@@ -111,6 +111,7 @@ def test_engine_matches_oracle_random():
         t = LabelledTree(P, ops)
         e = vacuum_expectation(t, V)
         o = oracle_expectation(t, V)
+        assert abs(e - o) < 1e-10
         ref = fold_oracle(t, V)
         assert abs(e - ref) < 1e-10
         assert abs(o - ref) < 1e-10
