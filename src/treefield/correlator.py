@@ -14,8 +14,10 @@ space (f^{ab}_g and the vacuum moments), an isometry model in matrix units
 leaf, so it folds its partition (`dyadic.fold_tree`) with a linear join.
 
 Positions are exact rationals; every lambda power is an integer power taken
-by repeated multiplication, so negative eigenvalues never meet a complex
-logarithm branch.  A request keeps its positions as `CirclePoint`s, integer
+by repeated multiplication (`models.ipow`), so negative eigenvalues never
+meet a complex logarithm branch.  The weighted insertion lambda_a^{-l} mu^a
+of a leaf of level l is taken once per model, label and level
+(`ModelSpec.weights`).  A request keeps its positions as `CirclePoint`s, integer
 pairs (p, q), and the vacuum n-point reads its occupied leaves from the
 first 64 binary digits of each, (p << 64) // q.  A Thompson-transformed
 correlator pulls each of those leaves, or the deeper image leaf of the
@@ -39,24 +41,8 @@ from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, PointLike,
                      check_regular_level, common_prefix_length,
                      common_refinement, fold_tree, is_refinement,
                      minimal_supporting_partition, regular_partition)
-from .models import ModelSpec
+from .models import ModelSpec, ipow
 from .spectral import scaling_dimension
-
-
-def ipow(z: complex, k: int) -> complex:
-    """z^k for integer k by repeated multiplication; 0^0 = 1."""
-    if k == 0:
-        return 1.0 + 0.0j
-    base = complex(z)
-    if k < 0:
-        if base == 0:
-            raise ValueError("zero ascending weight excluded")
-        base = 1.0 / base
-        k = -k
-    out = 1.0 + 0.0j
-    for _ in range(k):
-        out *= base
-    return out
 
 
 @dataclass(frozen=True)
@@ -118,15 +104,15 @@ Leaf = Tuple[int, int, np.ndarray]
 def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
                    model: ModelSpec) -> Dict[int, np.ndarray]:
     """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
-    mu^a at that interval; each insertion's slot is found by bisection."""
-    lam = model.eigenvalues
-    basis = model.evaluation.basis
+    mu^a at that interval (`ModelSpec.weights`); each insertion's slot is
+    found by bisection."""
+    weights = model.weights
     vecs: Dict[int, np.ndarray] = {}
     for ins in insertions:
         k = P.index_of(ins.position)
         if k in vecs:
             raise ValueError("partition does not support the insertions")
-        vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
+        vecs[k] = weights[ins.label, P[k].level]
     return vecs
 
 
@@ -158,11 +144,10 @@ def _vacuum_geometry(req: CorrelatorRequest) -> Iterator[Tuple[int, int]]:
 def _weighted(leaves: Iterable[Tuple[int, int]], insertions: Sequence[FieldInsertion],
               model: ModelSpec) -> List[Leaf]:
     """(a, l, vec) for each insertion on its leaf (a, l): vec holds the
-    coordinates of the weighted insertion lambda_a^{-l} mu^a."""
-    lam = model.eigenvalues
-    basis = model.evaluation.basis
-    return [(a, l, ipow(lam[ins.label], -l) * basis[:, ins.label])
-            for (a, l), ins in zip(leaves, insertions)]
+    coordinates of the weighted insertion lambda_a^{-l} mu^a
+    (`ModelSpec.weights`)."""
+    weights = model.weights
+    return [(a, l, weights[ins.label, l]) for (a, l), ins in zip(leaves, insertions)]
 
 
 def _evaluate(leaves: Sequence[Leaf], model: ModelSpec) -> complex:

@@ -267,16 +267,7 @@ class DyadicPartition:
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
-        if not ivs:
-            raise ValueError("empty partition")
-        if ivs[0].left_numerator != 0:
-            raise ValueError("partition must start at 0")
-        for a, b in zip(ivs, ivs[1:]):
-            # a.right == b.left, both scaled by 2^(a.level + b.level)
-            if (a.left_numerator + 1) << b.level != b.left_numerator << a.level:
-                raise ValueError(f"gap or overlap between {a} and {b}")
-        if ivs[-1].left_numerator + 1 != 1 << ivs[-1].level:
-            raise ValueError("partition must end at 1")
+        check_leaf_cover([(iv.left_numerator, iv.level) for iv in ivs])
         object.__setattr__(self, "intervals", ivs)
 
     def __len__(self) -> int:
@@ -315,6 +306,43 @@ class DyadicPartition:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(iv) for iv in self.intervals) + "}"
+
+
+def check_leaf_cover(leaves: Sequence[Tuple[int, int]], cyclic: bool = False) -> int:
+    """Index of the first leaf (a, l) that starts at 0, once the leaves are
+    checked to be standard intervals [a/2^l, (a+1)/2^l) that cover [0,1)
+    without gap or overlap, read from the first leaf or, when `cyclic`,
+    from that one on around.  A `DyadicPartition` is checked in order, the
+    images of a `ThompsonElement`'s pairs cyclically.  Leaves that cover
+    [0,1) all lie inside it, and a negative level fails a shift, so each
+    leaf is checked on its own only to report the first bad one before any
+    fault of the cover."""
+    try:
+        if not leaves:
+            raise ValueError("empty partition")
+        k = 0
+        if cyclic:
+            k = next((i for i, (a, _) in enumerate(leaves) if a == 0), -1)
+            if k < 0:
+                raise ValueError("not a Thompson map: no image leaf starts at 0")
+        elif leaves[0][0] != 0:
+            raise ValueError("partition must start at 0")
+        cover = leaves[k:] + leaves[:k]
+        for (a, l), (b, m) in zip(cover, cover[1:]):
+            # a's right end (a+1)/2^l is b's left end b/2^m, both scaled by 2^(l+m)
+            if (a + 1) << m != b << l:
+                raise ValueError(f"gap or overlap between {a}/{1 << l} and {b}/{1 << m}")
+        a, l = cover[-1]
+        if a + 1 != 1 << l:
+            raise ValueError("partition must end at 1")
+        return k
+    except ValueError:
+        for a, l in leaves:
+            if l < 0:
+                raise ValueError(f"negative level {l}") from None
+            if not 0 <= a < 1 << l:
+                raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)") from None
+        raise
 
 
 TRIVIAL_PARTITION = DyadicPartition((StdInterval(0, 0),))

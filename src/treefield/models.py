@@ -1,5 +1,7 @@
 """Model registry: the qutrit perfect-tensor preset, the Fibonacci abstract
-model, user-supplied model documents, and perfect/SWAP/rotation checkers."""
+model, user-supplied model documents, and perfect/SWAP/rotation checkers.
+A model also keeps the weighted insertions lambda_a^{-l} mu^a its
+correlators read, one per label and leaf level (`ModelSpec.weights`)."""
 
 from __future__ import annotations
 
@@ -68,6 +70,40 @@ def _fibonacci_data() -> Tuple[np.ndarray, np.ndarray]:
     f[1, 1, 0] = SQRT5 - 2.0
     f[1, 1, 1] = 5.0 - 2.0 * SQRT5
     return channel, f
+
+
+def ipow(z: complex, k: int) -> complex:
+    """z^k for integer k by repeated multiplication; 0^0 = 1."""
+    if k == 0:
+        return 1.0 + 0.0j
+    base = complex(z)
+    if k < 0:
+        if base == 0:
+            raise ValueError("zero ascending weight excluded")
+        base = 1.0 / base
+        k = -k
+    out = 1.0 + 0.0j
+    for _ in range(k):
+        out *= base
+    return out
+
+
+class WeightTable(dict):
+    """(label a, level l) -> ipow(lambda_a, -l) * basis[:, a]: the
+    coordinates of the renormalised insertion lambda_a^{log2 |I|} mu^a on a
+    leaf I of level l, in the evaluation basis.  An entry is computed the
+    first time it is read, at any level, and kept read-only."""
+
+    def __init__(self, eigenvalues: np.ndarray, basis: np.ndarray):
+        super().__init__()
+        self.eigenvalues, self.basis = eigenvalues, basis
+
+    def __missing__(self, key: Tuple[int, int]) -> np.ndarray:
+        a, l = key
+        vec = ipow(self.eigenvalues[a], -l) * self.basis[:, a]
+        vec.flags.writeable = False
+        self[key] = vec
+        return vec
 
 
 class Evaluation(NamedTuple):
@@ -203,6 +239,12 @@ class ModelSpec:
         one = basis[:, 0]
         return Evaluation(basis, product.reshape(n, n * n), one @ product,
                           (one @ product.reshape(n, n * n)).reshape(n, n), closing)
+
+    @cached_property
+    def weights(self) -> WeightTable:
+        """The weighted insertions of the correlator evaluator, filled as
+        they are read: `weights[a, l]` is label a on a leaf of level l."""
+        return WeightTable(self.eigenvalues, self.evaluation.basis)
 
     def require_isometry(self) -> Isometry3Box:
         if self.isometry is None:

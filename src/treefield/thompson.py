@@ -23,18 +23,19 @@ references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
-                     PointLike, StdInterval, as_point, check_regular_level,
-                     common_refinement, decimal_fraction, identity_pairs,
-                     is_refinement, nested_to_leaves, partition_to_nested,
-                     regular_partition, _compose_pairs)
+                     PointLike, StdInterval, as_point, check_leaf_cover,
+                     check_regular_level, common_refinement, decimal_fraction,
+                     identity_pairs, is_refinement, nested_to_leaves,
+                     partition_to_nested, regular_partition, _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -49,22 +50,19 @@ class ThompsonElement:
 
     The domain leaves must form a dyadic partition, and so must the images
     read cyclically from the one that starts at 0; the constructor checks
-    both.  As a tree pair, domain leaf i maps onto range leaf
+    both on integers (`dyadic.check_leaf_cover`) and keeps the index of that
+    pair, `first_image`.  As a tree pair, domain leaf i maps onto range leaf
     (i + rotation) mod n."""
 
     pairs: Tuple[LeafPair, ...]
+    first_image: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        self.domain_partition()
-        self.range_partition()
-
-    def _first_image(self) -> int:
-        """Index of the pair whose image starts at 0."""
-        for i, p in enumerate(self.pairs):
-            if p[2] == 0:
-                return i
-        raise ValueError("not a Thompson map: no image leaf starts at 0")
+        pairs = tuple(self.pairs)
+        object.__setattr__(self, "pairs", pairs)
+        check_leaf_cover([(a, l) for a, l, _, _ in pairs])
+        object.__setattr__(self, "first_image", check_leaf_cover(
+            [(b, m) for _, _, b, m in pairs], cyclic=True))
 
     @property
     def n_leaves(self) -> int:
@@ -72,21 +70,21 @@ class ThompsonElement:
 
     @property
     def rotation(self) -> int:
-        return -self._first_image() % self.n_leaves
+        return -self.first_image % self.n_leaves
 
     def domain_partition(self) -> DyadicPartition:
         return DyadicPartition(tuple([StdInterval(a, l) for a, l, _, _ in self.pairs]))
 
     def range_partition(self) -> DyadicPartition:
-        images = [StdInterval(b, m) for _, _, b, m in self.pairs]
-        k = self._first_image()
-        return DyadicPartition(tuple(images[k:] + images[:k]))
+        k = self.first_image
+        return DyadicPartition(tuple([StdInterval(b, m) for _, _, b, m
+                                      in self.pairs[k:] + self.pairs[:k]]))
 
     def is_identity(self) -> bool:
         return reduce(self).n_leaves == 1
 
     def inverse(self) -> "ThompsonElement":
-        k = self._first_image()
+        k = self.first_image
         return ThompsonElement([(b, m, a, l)
                                 for a, l, b, m in self.pairs[k:] + self.pairs[:k]])
 
@@ -112,7 +110,7 @@ class ThompsonElement:
         b q <= p 2^m (bisection)."""
         pairs = self.pairs
         n = len(pairs)
-        k = self._first_image()
+        k = self.first_image
         lo, hi = 0, n - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -158,7 +156,7 @@ def _cancel(pairs: Sequence[LeafPair]) -> Sequence[LeafPair]:
             a, l, b, m = a >> 1, l - 1, b >> 1, m - 1
             merged = True
         stack.append((a, l, b, m))
-    if max(p[1] for p in stack) > MAX_LEVEL:
+    if max(map(itemgetter(1), stack)) > MAX_LEVEL:
         raise ValueError("not a Thompson map: no dyadic domain tree found")
     return stack if merged else pairs
 
@@ -206,9 +204,10 @@ MAX_WORD_LENGTH = 1024  # generators in one word; longer words are refused
 # leaf pairs one breakpoint table may reduce to: a word of MAX_WORD_LENGTH
 # generators has at most 3 carets each, so at most 3 * 1024 + 1 pairs
 MAX_PIECE_PAIRS = 4096
-# name -> (pairs of the generator, pairs of its inverse)
-_GENERATOR_PAIRS = {name: (pairs, ThompsonElement(pairs).inverse().pairs)
-                    for name, pairs in _GENERATORS.items()}
+_INVERSE_SUFFIXES = ("⁻¹", "^-1", "-1")
+# word token -> pairs: each generator and each spelling of its inverse
+_WORD_TOKENS = {name + suffix: ThompsonElement(pairs).inverse().pairs if suffix else pairs
+                for name, pairs in _GENERATORS.items() for suffix in ("",) + _INVERSE_SUFFIXES}
 
 
 def parse_word(word: str) -> ThompsonElement:
@@ -224,16 +223,9 @@ def parse_word(word: str) -> ThompsonElement:
                          f"at most {MAX_WORD_LENGTH} are allowed")
     pairs: Sequence[LeafPair] = IDENTITY.pairs
     for tok in tokens:
-        inv = False
-        base = tok
-        for suffix in ("⁻¹", "^-1", "-1"):
-            if tok.endswith(suffix):
-                inv = True
-                base = tok[: -len(suffix)]
-                break
-        if base not in _GENERATOR_PAIRS:
-            generator(base)  # raises: unknown generator
-        pairs = _cancel(_compose_pairs(pairs, _GENERATOR_PAIRS[base][inv]))
+        if tok not in _WORD_TOKENS:  # raises: unknown generator, named without its suffix
+            generator(next((tok[:-len(s)] for s in _INVERSE_SUFFIXES if tok.endswith(s)), tok))
+        pairs = _cancel(_compose_pairs(pairs, _WORD_TOKENS[tok]))
     return ThompsonElement(pairs)
 
 

@@ -9,6 +9,10 @@ output is the `repr` of the value, or the error text.  The ops are vacuum
 n-point requests (n = 2..32, a few pair-labelled n = 128 requests and
 δ-labelled n = 256 requests beyond double range), depth-8 grid-3 staircase
 profiles for x at levels 0..10, and correlators in Thompson-word states.
+After those, a block drawn from a second seed of its own (`SPELLINGS_SEED`)
+holds correlators in states whose words spell each generator every way
+(`A`, `A⁻¹`, `A^-1`, `A-1`), and words with the malformed tokens `D`,
+`A^-1-1` and `A⁻¹^-1`; no input above it moves.
 
 Each file starts with a header line that records the Python and numpy
 versions the outputs were made with.  `tests/test_corpus.py` replays each
@@ -271,6 +275,8 @@ def commands() -> List[List[str]]:
 # library operations
 
 OPS_SEED = 1
+SPELLINGS_SEED = 2
+SPELLINGS = ("", "⁻¹", "^-1", "-1")
 DELTA_LABELS = ("d1", "d2")
 PAIR_LABELS = ("b1", "b2", "b3", "a1", "a2", "a3")
 STAIRCASE_DEPTH, STAIRCASE_GRID = 8, 3
@@ -298,12 +304,13 @@ def _labels(rng: random.Random, n: int, delta: bool) -> List[str]:
     return out + [rng.choice(DELTA_LABELS)] * (n % 2)
 
 
-def _word(rng: random.Random, length: int) -> str:
-    """Freely reduced word over A, B, C, S and their inverses."""
+def _word(rng: random.Random, length: int, suffixes: Tuple[str, ...] = ("", "^-1")) -> str:
+    """Freely reduced word over A, B, C, S and their inverses, each token
+    spelled with one of `suffixes` ("" for a generator itself)."""
     toks: List[Tuple[str, str]] = []
     while len(toks) < length:
-        t = (rng.choice("ABCS"), rng.choice(("", "^-1")))
-        if not (toks and toks[-1][0] == t[0] and toks[-1][1] != t[1]):
+        t = (rng.choice("ABCS"), rng.choice(suffixes))
+        if not (toks and toks[-1][0] == t[0] and bool(toks[-1][1]) != bool(t[1])):
             toks.append(t)
     return " ".join(g + s for g, s in toks)
 
@@ -339,6 +346,17 @@ def ops() -> List[Tuple[str, dict]]:
         for state in ("vacuum", {"word": "A B"}, {"word": "C S^-1 A"}):
             out.append(("npoint", {"positions": [str(x), str(x + Fraction(1, 1 << k))],
                                    "labels": ["d1", "d2"], "state": state}))
+    rng = random.Random(f"spellings/{SPELLINGS_SEED}")
+    for length in (8, 16, 32):
+        for k in range(8):
+            word = _word(rng, length, SPELLINGS)
+            while not all(any(t[1:] == s for t in word.split()) for s in SPELLINGS):
+                word = _word(rng, length, SPELLINGS)
+            doc = {"positions": _points(rng, 4), "labels": _labels(rng, 4, k % 4 != 3)}
+            out.append(("npoint", {**doc, "state": {"word": word}}))
+    for bad in ("D", "A^-1-1", "A⁻¹^-1"):
+        out.append(("npoint", {"positions": _points(rng, 2), "labels": ["d1", "d2"],
+                               "state": {"word": f"A {bad} B"}}))
     return out
 
 

@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,8 @@ from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
                               StdInterval, as_point, common_refinement,
                               fold_tree, minimal_supporting_partition,
                               regular_partition)
-from treefield.models import ModelSpec, check_swap, load_model, preset
+from treefield import models
+from treefield.models import ModelSpec, check_swap, load_model, preset, to_document
 from treefield.spectral import Isometry3Box
 
 
@@ -115,16 +118,22 @@ def fold_reference(P, vecs, model):
     return complex(root @ ev.closing)
 
 
-def fold_n_point(req, model):
-    """Vacuum n-point by the reference route: the supporting-partition
-    descent, slots by bisection, weighted vectors, the partition fold."""
-    P = minimal_supporting_partition([ins.position for ins in req.insertions])
+def ipow_vectors(P, req, model):
+    """Slot of P -> the weighted insertion lambda^{-level} mu at that slot,
+    computed with `ipow` for each insertion."""
     lam, basis = model.eigenvalues, model.evaluation.basis
     vecs = {}
     for ins in req.insertions:
         k = P.index_of(ins.position)
         vecs[k] = ipow(lam[ins.label], -P[k].level) * basis[:, ins.label]
-    return fold_reference(P, vecs, model)
+    return vecs
+
+
+def fold_n_point(req, model):
+    """Vacuum n-point by the reference route: the supporting-partition
+    descent, slots by bisection, weighted vectors, the partition fold."""
+    P = minimal_supporting_partition([ins.position for ins in req.insertions])
+    return fold_reference(P, ipow_vectors(P, req, model), model)
 
 
 def oracle_value(req, model, partition=None):
@@ -437,6 +446,73 @@ def test_vacuum_leaves_at_the_level_cap(qutrit):
         got = outcome(n_point, req, qutrit)
         assert got == outcome(fold_n_point, req, qutrit)
         assert (got == refused) == too_deep
+
+
+def table_models():
+    """Every preset, the Fibonacci one given the vacuum moments its evaluator
+    needs, and one abstract model, the qutrit's label-space twin."""
+    fibonacci = to_document(preset("fibonacci"))
+    fibonacci["moments"] = [[1.0, 0.0], [0.25, 0.0]]
+    return preset("qutrit"), load_model(fibonacci), abstract_twin(preset("qutrit"))
+
+
+def weighted_labels(model):
+    return [a for a in range(len(model.labels)) if not model.zero_weight[a]]
+
+
+def test_weight_table_entries_are_the_ipow_expression_read_only():
+    # every label at every level up to two past the cap: the entry is the
+    # expression it replaces, computed once when first read, and read-only
+    levels = range(MAX_LEVEL + 3)
+    for model in table_models():
+        lam, basis, table = model.eigenvalues, model.evaluation.basis, model.weights
+        assert len(table) == 0
+        for a in weighted_labels(model):
+            for l in levels:
+                vec = table[a, l]
+                assert np.array_equal(vec, ipow(lam[a], -l) * basis[:, a])
+                assert table[a, l] is vec and not vec.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    vec[0] = 0
+        assert len(table) == len(weighted_labels(model)) * len(levels)
+
+
+def test_refined_partitions_read_the_table_like_the_ipow_fold():
+    # the slot of 1/3 split with `refine_at` down to level 64: the evaluator
+    # on the table's vectors gives the bits of the partition fold on ipow's
+    for model in table_models():
+        labels = weighted_labels(model)
+        for a in labels:
+            req = CorrelatorRequest.make(["1/3", "2/3"], [a, labels[-1]], model)
+            P = minimal_supporting_partition([ins.position for ins in req.insertions])
+            while True:
+                assert repr(n_point(req, model, partition=P)) == repr(
+                    fold_reference(P, ipow_vectors(P, req, model), model))
+                k = P.index_of(req.insertions[0].position)
+                if P[k].level == MAX_LEVEL:
+                    break
+                P = P.refine_at(k)
+
+
+def test_library_set_up_leaves_the_weight_table_empty(monkeypatch):
+    # the set-up the benchmark's set-up probe times (import, the qutrit's
+    # derived data, a model document loaded) reads no weighted insertion
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "setup_probe.py"
+    spec = importlib.util.spec_from_file_location("setup_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    built = []
+    for name in ("preset", "load_model"):
+        def recording(*args, make=getattr(models, name)):
+            built.append(make(*args))
+            return built[-1]
+        monkeypatch.setattr(models, name, recording)
+    probe.library_setup()
+    assert len(built) == 2
+    for model in built:
+        assert len(model.weights) == 0
+        model.weights[0, 3]
+        assert list(model.weights) == [(0, 3)]
 
 
 def test_vacuum_n_point_from_text_builds_no_fraction(qutrit, monkeypatch):
