@@ -12,7 +12,11 @@ profiles for x at levels 0..10, and correlators in Thompson-word states.
 After those, a block drawn from a second seed of its own (`SPELLINGS_SEED`)
 holds correlators in states whose words spell each generator every way
 (`A`, `A⁻¹`, `A^-1`, `A-1`), and words with the malformed tokens `D`,
-`A^-1-1` and `A⁻¹^-1`; no input above it moves.
+`A^-1-1` and `A⁻¹^-1`.  A third block, from `LABELS_SEED`, spells field
+labels every way a request document may (names, ASCII aliases, padded
+names, digit strings, JSON ints, booleans, unknown names) and gives
+request documents of the wrong shape: non-list `positions` or `labels`,
+and lists of unequal length.  No input above a block moves.
 
 Each file starts with a header line that records the Python and numpy
 versions the outputs were made with.  `tests/test_corpus.py` replays each
@@ -87,6 +91,8 @@ def input_files() -> dict:
         "no_labels.json": {"positions": ["1/4", "1/2"]},
         "no_positions.json": {"labels": ["δ¹", "δ¹"]},
         "bool_labels.json": {"positions": ["1/3", "2/3"], "labels": [True, False]},
+        "fewer_labels.json": {"positions": ["1/3", "1/2"], "labels": ["d1"]},
+        "more_labels.json": {"positions": ["1/3"], "labels": ["d1", "d2"]},
     }
     pieces = {
         "rotation_8": [["0", "1/256", 0]],
@@ -185,6 +191,8 @@ def commands() -> List[List[str]]:
         ["correlator", *QUTRIT, "--request", "no_labels.json"],
         ["correlator", *QUTRIT, "--request", "no_positions.json"],
         ["correlator", *QUTRIT, "--request", "bool_labels.json"],
+        ["correlator", *QUTRIT, "--request", "fewer_labels.json"],
+        ["correlator", *QUTRIT, "--request", "more_labels.json"],
         ["correlator", *QUTRIT, "--request", "missing.json"],
     )
     for name in ("rotation_8", "rotation_12", "a", "cover", "gap", "slope",
@@ -276,10 +284,18 @@ def commands() -> List[List[str]]:
 
 OPS_SEED = 1
 SPELLINGS_SEED = 2
+LABELS_SEED = 3
 SPELLINGS = ("", "⁻¹", "^-1", "-1")
 DELTA_LABELS = ("d1", "d2")
 PAIR_LABELS = ("b1", "b2", "b3", "a1", "a2", "a3")
 STAIRCASE_DEPTH, STAIRCASE_GRID = 8, 3
+# qutrit label spellings a request may use: names, ASCII aliases, padded names,
+# digit strings ("1" is the label named 1, "2" is index 2, "٣" is index 3) and
+# JSON ints; and spellings that name no label
+GOOD_LABELS = ("δ¹", "β²", "α³", "1", "d1", "b2", "a3", "id", " d2", "β¹\t", " 1 ",
+               "2", "8", " 5 ", "0", "٣", 0, 4, 8)
+BAD_LABELS = ("9", "10", 9, -1, True, False, "nope", "δ³", "", "D1", None, 1.5, "²",
+              [1], {"d1": 1})
 
 
 def _points(rng: random.Random, n: int) -> List[str]:
@@ -357,6 +373,60 @@ def ops() -> List[Tuple[str, dict]]:
     for bad in ("D", "A^-1-1", "A⁻¹^-1"):
         out.append(("npoint", {"positions": _points(rng, 2), "labels": ["d1", "d2"],
                                "state": {"word": f"A {bad} B"}}))
+    return out + label_ops()
+
+
+def label_ops() -> List[Tuple[str, dict]]:
+    """The request-edge block, drawn from `LABELS_SEED`: every label spelling
+    in a vacuum and in a Thompson state, every bad one among good ones, and
+    documents of the wrong shape, each also with a bad point, state or
+    order so that the order of the checks shows."""
+    rng = random.Random(f"labels/{LABELS_SEED}")
+    index = qutrit().label_index
+
+    def pair(label) -> list:
+        """label and a spelling of the same label, so the value is not zero"""
+        return [label, rng.choice([l for l in GOOD_LABELS if index(l) == index(label)])]
+
+    out: List[Tuple[str, dict]] = []
+    for label in GOOD_LABELS:
+        for state in ("vacuum", {"word": _word(rng, 8)}):
+            labels = pair(label) + (pair(rng.choice(GOOD_LABELS)) if rng.random() < 0.5 else [])
+            out.append(("npoint", {"positions": _points(rng, len(labels)), "labels": labels,
+                                   "state": state}))
+    for label in BAD_LABELS:
+        labels = [rng.choice(GOOD_LABELS) for _ in range(rng.randint(2, 6))]
+        labels[rng.randrange(len(labels))] = label
+        out.append(("npoint", {"positions": _points(rng, len(labels)), "labels": labels}))
+    out += [("npoint", d) for d in (
+        {"positions": [], "labels": []},
+        {"positions": [], "labels": [], "state": {"word": "A B"}},
+        [_points(rng, 2), ["d1", "d2"]],
+        {"positions": "1/3", "labels": ["d1"]},
+        {"positions": None, "labels": ["d1"]},
+        {"positions": {"1/3": "d1"}, "labels": ["d1"]},
+        {"positions": ["1/3"], "labels": "d1"},
+        {"positions": ["1/3", "1/2"], "labels": "d1 d2"},
+        {"positions": ["1/3"], "labels": 1},
+        {"positions": ["1/3", "1/2"], "labels": ["d1"]},
+        {"positions": ["1/3"], "labels": ["d1", "d2"]},
+        {"positions": _points(rng, 5), "labels": ["d1", "d2", "b1"]},
+        {"positions": _points(rng, 3), "labels": ["d1", "d2", "b1", "b1", "a2"]},
+        {"positions": ["1/3", "1/2"], "labels": []},
+        {"positions": [], "labels": ["d1", "d2"]},
+        # a bad label, point, state or order beside unequal lengths
+        {"positions": ["1/3", "1/2", "2/3"], "labels": ["d1", "nope"]},
+        {"positions": ["1/3", "1/2"], "labels": ["d1", "d2", "nope"]},
+        {"positions": ["1/3", "1/0"], "labels": ["d1"]},
+        {"positions": ["1/3", "1/2"], "labels": ["d1"], "state": {"word": "D"}},
+        {"positions": ["1/2", "1/3"], "labels": ["d1"]},
+        {"positions": ["1/2", "1/3"], "labels": ["d1", "d2", "d1"]},
+        # the order of the checks on requests of equal length
+        {"positions": ["1/2", "1/3"], "labels": ["d1", "nope"]},
+        {"positions": ["1/2", "1/3"], "labels": ["nope", "d1"], "state": {"word": "D"}},
+        {"positions": ["3/2", "1/3"], "labels": ["nope", "d1"]},
+        {"positions": ["1/3", "1/3"], "labels": ["d1", True]},
+    )]
     return out
 
 
