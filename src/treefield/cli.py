@@ -107,7 +107,7 @@ def _request(args, model: ModelSpec) -> co.CorrelatorRequest:
     if not args.at or not args.fields:
         raise ValueError("need --request, or --at positions with --fields labels")
     if len(args.at) != len(args.fields):
-        raise ValueError("number of positions and field labels differ")
+        raise ValueError(co.LENGTHS_DIFFER)
     state = th.parse_word(args.state) if args.state else None
     return co.CorrelatorRequest.make(args.at, args.fields, model, state)
 
@@ -126,7 +126,7 @@ def cmd_correlator(args) -> int:
     model = _model(args)
     req = _request(args, model)
     value = _finite_n_point(req, model)
-    P = minimal_supporting_partition([i.position for i in req.insertions])
+    P = minimal_supporting_partition(req.positions())
     if args.json:
         print(json.dumps({"value": [value.real, value.imag],
                           "minimal_supporting_partition": [str(iv) for iv in P]},
@@ -156,7 +156,7 @@ def cmd_oracle_diff(args) -> int:
     if req.state is not None and not req.state.is_identity():
         raise ValueError("oracle-diff covers vacuum requests only")
     value = _finite_n_point(req, model)
-    P = minimal_supporting_partition([i.position for i in req.insertions])
+    P = minimal_supporting_partition(req.positions())
     t = treestate.LabelledTree(P, _oracle_ops(P, req, model))
     oracle = treestate.oracle_expectation(t, V)
     diff = abs(value - oracle)

@@ -17,12 +17,14 @@ Positions are exact rationals; every lambda power is an integer power taken
 by repeated multiplication (`models.ipow`), so negative eigenvalues never
 meet a complex logarithm branch.  The weighted insertion lambda_a^{-l} mu^a
 of a leaf of level l is taken once per model, label and level
-(`ModelSpec.weights`).  A request keeps its positions as `CirclePoint`s, integer
-pairs (p, q), and the vacuum n-point reads its occupied leaves from the
-first 64 binary digits of each, (p << 64) // q.  A Thompson-transformed
-correlator pulls each of those leaves, or the deeper image leaf of the
-state holding it, back through one leaf pair of the state.  Neither path
-builds a `Fraction`, an interval or a partition.  Slots are found by
+(`ModelSpec.weights`).  A request holds its points as reduced integer pairs
+(p, q) and its labels as indices, read through the model's table of names
+and aliases (`ModelSpec.insertion_labels`); it builds a `FieldInsertion`
+only for its `insertions` view.  The vacuum n-point reads its occupied
+leaves from the first 64 binary digits of each point, (p << 64) // q.  A
+Thompson-transformed correlator pulls each of those leaves, or the deeper
+image leaf of the state holding it, back through one leaf pair of the
+state.  Neither path builds a `Fraction`, an interval or a partition.  Slots are found by
 `DyadicPartition.index_of` bisection only on an explicit `partition=`.
 """
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,48 +53,70 @@ class FieldInsertion:
     position: CirclePoint
     label: int
 
-    @staticmethod
-    def make(position: PointLike, label, model: ModelSpec) -> "FieldInsertion":
-        idx = model.label_index(label)
-        if model.zero_weight[idx]:
-            raise ValueError("zero ascending weight excluded")
-        return FieldInsertion(as_point(position), idx)
+
+# the error of a request whose positions and labels differ in number
+LENGTHS_DIFFER = "number of positions and field labels differ"
 
 
 @dataclass(frozen=True)
 class CorrelatorRequest:
-    insertions: Tuple[FieldInsertion, ...]
+    """Insertion i is the field of label index labels[i] at the point p/q,
+    points[i] = (p, q) reduced with 0 <= p < q; the points strictly
+    increase."""
+
+    points: Tuple[Tuple[int, int], ...]
+    labels: Tuple[int, ...]
     state: Optional[th.ThompsonElement] = None  # None = vacuum
 
     def __post_init__(self):
-        check_point_order(self.point_pairs())
+        check_point_order(self.points)
 
-    def point_pairs(self) -> List[Tuple[int, int]]:
-        """The insertion points p/q as integer pairs (p, q), in order."""
-        return [(ins.position.p, ins.position.q) for ins in self.insertions]
+    def positions(self) -> List[CirclePoint]:
+        """The insertion points as `CirclePoint`s, in order."""
+        return [CirclePoint(p, q) for p, q in self.points]
+
+    @cached_property
+    def insertions(self) -> Tuple[FieldInsertion, ...]:
+        """The request as `FieldInsertion`s, built on first read."""
+        return tuple(map(FieldInsertion, self.positions(), self.labels))
 
     @staticmethod
     def make(positions: Sequence[PointLike], labels: Sequence, model: ModelSpec,
              state: Optional[th.ThompsonElement] = None) -> "CorrelatorRequest":
-        ins = tuple(FieldInsertion.make(p, l, model)
-                    for p, l in zip(positions, labels, strict=True))
-        return CorrelatorRequest(ins, state)
+        """Each label (`ModelSpec.insertion_label`), then its position, in
+        turn; then the counts, then the point order."""
+        points, idx = [], []
+        for x, label in zip(positions, labels):
+            idx.append(model.insertion_label(label))
+            pt = as_point(x)
+            points.append((pt.p, pt.q))
+        if len(positions) != len(labels):
+            raise ValueError(LENGTHS_DIFFER)
+        return CorrelatorRequest(tuple(points), tuple(idx), state)
 
 
 def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
-    """{'positions': ['p/q', ...], 'labels': [...], 'state': 'vacuum' | word}"""
+    """{'positions': ['p/q', ...], 'labels': [...], 'state': 'vacuum' | word}
+
+    Checked in this order: every point, the state, each label up to the
+    number of points (`ModelSpec.insertion_labels`), the counts, the point
+    order."""
     if not isinstance(doc, dict):
         raise ValueError("request document must be a JSON object")
     for key in ("positions", "labels"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"request document needs a list {key!r}")
-    positions = [CirclePoint.parse(str(p)) for p in doc["positions"]]
-    labels = doc["labels"]
+    points = tuple([(pt.p, pt.q) for pt in [CirclePoint.parse(str(x))
+                                            for x in doc["positions"]]])
     state = None
     st = doc.get("state", "vacuum")
     if st not in (None, "vacuum"):
         state = th.element_from_document(st)
-    return CorrelatorRequest.make(positions, labels, model, state)
+    labels = doc["labels"]
+    idx = model.insertion_labels(labels[:len(points)])
+    if len(labels) != len(points):
+        raise ValueError(LENGTHS_DIFFER)
+    return CorrelatorRequest(points, idx, state)
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +126,18 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 Leaf = Tuple[int, int, np.ndarray]
 
 
-def _label_vectors(P: DyadicPartition, insertions: Sequence[FieldInsertion],
-                   model: ModelSpec) -> Dict[int, np.ndarray]:
+def _label_vectors(P: DyadicPartition, positions: Sequence[CirclePoint],
+                   labels: Sequence[int], model: ModelSpec) -> Dict[int, np.ndarray]:
     """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
     mu^a at that interval (`ModelSpec.weights`); each insertion's slot is
     found by bisection."""
     weights = model.weights
     vecs: Dict[int, np.ndarray] = {}
-    for ins in insertions:
-        k = P.index_of(ins.position)
+    for x, a in zip(positions, labels):
+        k = P.index_of(x)
         if k in vecs:
             raise ValueError("partition does not support the insertions")
-        vecs[k] = weights[ins.label, P[k].level]
+        vecs[k] = weights[a, P[k].level]
     return vecs
 
 
@@ -122,14 +147,14 @@ def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
     return [(P[k].left_numerator, P[k].level, vecs[k]) for k in sorted(vecs)]
 
 
-def _vacuum_geometry(req: CorrelatorRequest) -> Iterator[Tuple[int, int]]:
-    """Yields the leaf (a, l) of each insertion in the request's minimal
-    supporting partition, straight from the integer pairs (p, q): X = (p <<
+def _vacuum_geometry(points: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
+    """Yields the leaf (a, l) of each point in the points' minimal
+    supporting partition, straight from their integer pairs (p, q): X = (p <<
     64) // q holds the first 64 binary digits of p/q, neighbours share c =
     64 - bit_length(X xor X') of them, and an insertion sits one level below
     the deeper of its two neighbour carets.  Neighbours that share all 64
     digits would need a deeper partition."""
-    X = [(p << MAX_LEVEL) // q for p, q in req.point_pairs()]
+    X = [(p << MAX_LEVEL) // q for p, q in points]
     carets = [-1]
     for x, y in zip(X, X[1:]):
         if x == y:
@@ -141,13 +166,13 @@ def _vacuum_geometry(req: CorrelatorRequest) -> Iterator[Tuple[int, int]]:
         yield x >> (MAX_LEVEL - l), l
 
 
-def _weighted(leaves: Iterable[Tuple[int, int]], insertions: Sequence[FieldInsertion],
+def _weighted(leaves: Iterable[Tuple[int, int]], labels: Sequence[int],
               model: ModelSpec) -> List[Leaf]:
-    """(a, l, vec) for each insertion on its leaf (a, l): vec holds the
+    """(a, l, vec) for each label on its leaf (a, l): vec holds the
     coordinates of the weighted insertion lambda_a^{-l} mu^a
     (`ModelSpec.weights`)."""
     weights = model.weights
-    return [(a, l, weights[ins.label, l]) for (a, l), ins in zip(leaves, insertions)]
+    return [(a, l, weights[label, l]) for (a, l), label in zip(leaves, labels)]
 
 
 def _evaluate(leaves: Sequence[Leaf], model: ModelSpec) -> complex:
@@ -199,7 +224,7 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
     """Correlator of the request; vacuum case on the minimal supporting
     partition (or any refinement of it), transformed case via the pulled-back
     vacuum tree.  Refinement-stable by construction."""
-    if not req.insertions:
+    if not req.points:
         return 1.0 + 0.0j
     state = None if req.state is None else th.reduce(req.state)
     if state is not None and state.n_leaves > 1:
@@ -207,12 +232,12 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
     if partition is None:
-        return _evaluate(_weighted(_vacuum_geometry(req), req.insertions, model), model)
-    msp = minimal_supporting_partition([ins.position for ins in req.insertions])
-    if not is_refinement(msp, partition):
+        return _evaluate(_weighted(_vacuum_geometry(req.points), req.labels, model), model)
+    positions = req.positions()
+    if not is_refinement(minimal_supporting_partition(positions), partition):
         raise ValueError("partition does not refine the minimal supporting partition")
-    return _evaluate(_occupied(partition, _label_vectors(partition, req.insertions, model)),
-                     model)
+    return _evaluate(_occupied(partition, _label_vectors(partition, positions, req.labels,
+                                                         model)), model)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +395,9 @@ def staircase_samples(x_fixed: PointLike, alpha, beta, depth: int, grid: int,
         y = CirclePoint(kk, 1 << grid)
         if y == x:
             continue
-        if y < x:
-            req = CorrelatorRequest.make([y, x], [b, a], model)
-        else:
-            req = CorrelatorRequest.make([x, y], [a, b], model)
-        P = minimal_supporting_partition([i.position for i in req.insertions])
-        P = common_refinement(P, fine)
+        pts, labels = ([y, x], [b, a]) if y < x else ([x, y], [a, b])
+        req = CorrelatorRequest.make(pts, labels, model)
+        P = common_refinement(minimal_supporting_partition(pts), fine)
         val = n_point(req, model, partition=P)
         rows.append((f"{kk}/{1 << grid}", val.real, val.imag, abs(val)))
     return rows
@@ -401,11 +423,11 @@ def _transformed_leaves(f: th.ThompsonElement, req: CorrelatorRequest,
     pair (a, l, b, m) holding z.  That leaf, of level k >= m, is weighted at
     level k and pulled back through the pair's affine piece to
     ((a << d) + c - (b << d), l + d), d = k - m."""
-    pairs = [f.image_pair_at(ins.position) for ins in req.insertions]
+    pairs = [f.image_pair_at(p, q) for p, q in req.points]
     on_q = [(b, m) if k <= m else (c, k)
-            for (c, k), (_, _, b, m) in zip(_vacuum_geometry(req), pairs)]
+            for (c, k), (_, _, b, m) in zip(_vacuum_geometry(req.points), pairs)]
     leaves = []
-    for (c, k, vec), (a, l, b, m) in zip(_weighted(on_q, req.insertions, model), pairs):
+    for (c, k, vec), (a, l, b, m) in zip(_weighted(on_q, req.labels, model), pairs):
         d = k - m
         leaves.append(((a << d) + c - (b << d), l + d, vec))
     L = max((l for _, l, _ in leaves), default=0)
@@ -437,13 +459,13 @@ def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     lam = model.eigenvalues
     factor = 1.0 + 0.0j
     pulled: List[Tuple[CirclePoint, int]] = []
-    for ins in req.insertions:
-        xj = inv(ins.position)
-        factor *= ipow(lam[ins.label], th.slope_right(e, xj))
-        pulled.append((xj, ins.label))
+    for x, a in zip(req.positions(), req.labels):
+        xj = inv(x)
+        factor *= ipow(lam[a], th.slope_right(e, xj))
+        pulled.append((xj, a))
     pulled.sort(key=lambda t: t[0])
     for (x1, _), (x2, _) in zip(pulled, pulled[1:]):
         if x1 == x2:
             raise ValueError("coincident insertions after pullback")
-    base = CorrelatorRequest(tuple(FieldInsertion(x, lab) for x, lab in pulled))
+    base = CorrelatorRequest(tuple((x.p, x.q) for x, _ in pulled), tuple(a for _, a in pulled))
     return complex(factor * n_point(base, model))

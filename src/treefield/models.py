@@ -1,7 +1,9 @@
 """Model registry: the qutrit perfect-tensor preset, the Fibonacci abstract
 model, user-supplied model documents, and perfect/SWAP/rotation checkers.
 A model also keeps the weighted insertions lambda_a^{-l} mu^a its
-correlators read, one per label and leaf level (`ModelSpec.weights`)."""
+correlators read, one per label and leaf level (`ModelSpec.weights`), and
+one table of its label names and aliases that requests read their labels
+through (`ModelSpec.label_table`)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, NamedTuple, Optional, Tuple, TypeVar
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -167,6 +169,40 @@ class ModelSpec:
         if name.isdigit():
             return self.label_index(int(name))
         raise ValueError(f"unknown field label {label!r}")
+
+    @cached_property
+    def label_table(self) -> Dict[str, int]:
+        """`label_index` of every label name and alias, spelled exactly as
+        given and with no surrounding whitespace."""
+        table = {}
+        for key in (*self.labels, *self.aliases):
+            name = self.aliases.get(key, key)
+            if key == key.strip() and name in self.labels:
+                table[key] = self.labels.index(name)
+        return table
+
+    def insertion_label(self, label) -> int:
+        """`label_index` of a field that may be inserted: a label of zero
+        ascending weight is refused."""
+        idx = self.label_index(label)
+        if self.zero_weight[idx]:
+            raise ValueError("zero ascending weight excluded")
+        return idx
+
+    def insertion_labels(self, labels: Sequence) -> Tuple[int, ...]:
+        """`insertion_label` of each label, in order.  Names and aliases are
+        read from `label_table` in one pass; any other spelling, or a label
+        of zero weight, sends every label through `insertion_label`, so the
+        first bad label raises its own error."""
+        table = self.label_table
+        try:
+            idx = tuple([table[label] for label in labels])
+        except (KeyError, TypeError):  # another spelling, or an unhashable label
+            return tuple(map(self.insertion_label, labels))
+        zero = self.zero_weight
+        if any([zero[i] for i in idx]):
+            return tuple(map(self.insertion_label, labels))
+        return idx
 
     def label_name(self, idx: int) -> str:
         return self.labels[idx]

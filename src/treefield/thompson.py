@@ -103,10 +103,10 @@ class ThompsonElement:
                 hi = mid - 1
         return pairs[lo]
 
-    def image_pair_at(self, x: CirclePoint) -> LeafPair:
-        """The pair whose image leaf holds x in [0,1), the image-side twin of
-        `_pair_at`: in image order, from the pair whose image starts at 0,
-        the last one whose image starts at or before x = p/q, that is
+    def image_pair_at(self, p: int, q: int) -> LeafPair:
+        """The pair whose image leaf holds p/q in [0,1), the image-side twin
+        of `_pair_at`: in image order, from the pair whose image starts at
+        0, the last one whose image starts at or before p/q, that is
         b q <= p 2^m (bisection)."""
         pairs = self.pairs
         n = len(pairs)
@@ -115,7 +115,7 @@ class ThompsonElement:
         while lo < hi:
             mid = (lo + hi + 1) // 2
             _, _, b, m = pairs[(k + mid) % n]
-            if b * x.q <= x.p << m:
+            if b * q <= p << m:
                 lo = mid
             else:
                 hi = mid - 1

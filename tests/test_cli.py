@@ -687,16 +687,25 @@ def point_lists(n):
     return st.one_of(st.lists(POINTS, min_size=n, max_size=n), ordered)
 
 
-def label_lists(n):
+# the label spellings a request document adds to LABELS: padded names,
+# digit strings ("2" is index 2, "٣" index 3, "²" is a digit but no int),
+# JSON ints in and out of range, booleans and null
+DOCUMENT_LABELS = st.one_of(LABELS, st.sampled_from(
+    [" δ¹", "d2 ", "\tβ³\n", " 1 ", "2", "٣", "²", "10", 0, 4, 8, 9, -1, True, False, None]))
+
+
+def label_lists(n, labels=LABELS):
     """n labels: drawn freely, or all qutrit labels so that n of them pass."""
     valid = st.sampled_from(["1", "δ¹", "d2", "β³", "a1", "α²"])
-    return st.one_of(st.lists(LABELS, min_size=n, max_size=n),
+    return st.one_of(st.lists(labels, min_size=n, max_size=n),
                      st.lists(valid, min_size=n, max_size=n))
 
 
 REQUESTS = st.one_of(
     st.integers(2, 8).flatmap(lambda n: st.fixed_dictionaries(
-        {"positions": point_lists(n), "labels": label_lists(n)},
+        {"positions": point_lists(n),
+         "labels": st.sampled_from([n, n, n, n - 1, n + 1]).flatmap(
+             lambda k: label_lists(k, DOCUMENT_LABELS))},
         optional={"state": STATES})),
     st.fixed_dictionaries(
         {}, optional={"positions": st.one_of(st.lists(st.one_of(POINTS, JUNK), max_size=3), JUNK),

@@ -545,7 +545,7 @@ def test_zero_weight_label_rejected():
     assert sum(model.zero_weight) == 2
     zero_label = model.zero_weight.index(True)
     with pytest.raises(ValueError, match="zero ascending weight"):
-        FieldInsertion.make(frac("1/4"), zero_label, model)
+        CorrelatorRequest.make([frac("1/4")], [zero_label], model)
     with pytest.raises(ValueError, match="zero ascending weight"):
         ope_terms(zero_label, 0, model)
 
@@ -814,13 +814,13 @@ def test_transformed_request_routes_through_state(qutrit):
     req = CorrelatorRequest.make([frac("1/4"), frac("5/8")], ["δ¹", "β²"],
                                  qutrit, state=word)
     via_state = n_point(req, qutrit)
-    base = CorrelatorRequest(req.insertions)
+    base = CorrelatorRequest(req.points, req.labels)
     direct = transformed_state_correlator(word, base, qutrit)
     assert via_state == direct
     # identity state falls back to the vacuum
     req_id = CorrelatorRequest.make([frac("1/4")], ["δ¹"], qutrit,
                                     state=th.IDENTITY)
-    assert n_point(req_id, qutrit) == n_point(CorrelatorRequest(req_id.insertions), qutrit)
+    assert n_point(req_id, qutrit) == n_point(CorrelatorRequest(req_id.points, req_id.labels), qutrit)
 
 
 def test_covariance_law_generators_and_random_words(qutrit):
@@ -868,9 +868,9 @@ def pulled_back_leaves(f, req, model):
     """The transformed path's occupied leaves as the partitions give them: Q,
     the common refinement of f's range partition and the minimal supporting
     partition, its slot vectors, and the pulled-back partition f^{-1}(Q)."""
-    Q = common_refinement(f.range_partition(), minimal_supporting_partition(
-        [ins.position for ins in req.insertions]))
-    return _occupied(*th.pulled_back(f, Q, _label_vectors(Q, req.insertions, model)))
+    positions = req.positions()
+    Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
+    return _occupied(*th.pulled_back(f, Q, _label_vectors(Q, positions, req.labels, model)))
 
 
 def leaf_outcome(fn, *args):
@@ -923,6 +923,28 @@ def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch
     assert repr(n_point(req, qutrit)) == repr(want)
     with pytest.raises(AssertionError, match="built on the transformed path"):
         pulled_back_leaves(f, req, qutrit)
+
+
+def test_request_to_n_point_builds_no_field_insertion(qutrit, monkeypatch):
+    # a request holds integer point pairs and label indices: reading a
+    # document and evaluating it, in the vacuum or in a state, builds no
+    # FieldInsertion; only the `insertions` view does
+    docs = [{"positions": ["1/7", "1/4", "2/3", "65535/65536"],
+             "labels": ["δ¹", "d2", " δ¹", 2], "state": state}
+            for state in ("vacuum", {"word": "C B^-1 A S A B"})]
+    want = [n_point(request_from_document(doc, qutrit), qutrit) for doc in docs]
+    assert all(w != 0 for w in want)
+
+    def refuse_built(self, *args):
+        raise AssertionError("FieldInsertion built")
+
+    monkeypatch.setattr(FieldInsertion, "__init__", refuse_built)
+    reqs = [request_from_document(doc, qutrit) for doc in docs]
+    assert [repr(n_point(req, qutrit)) for req in reqs] == list(map(repr, want))
+    assert reqs[0].points == ((1, 7), (1, 4), (2, 3), (65535, 65536))
+    assert reqs[0].labels == (1, 2, 1, 2)
+    with pytest.raises(AssertionError, match="FieldInsertion built"):
+        reqs[0].insertions
 
 
 def test_request_document_round_trip(qutrit):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treefield.models import (check_perfect, check_rotation, check_swap,
                               degenerate_isometry, load_model, parse_document,
@@ -190,3 +192,84 @@ def test_resolve_model_path(tmp_path):
     assert m.name == "fibonacci"
     with pytest.raises(ValueError, match="unknown model"):
         resolve_model("missing-model")
+
+
+def spelled_model():
+    """An abstract model read from a document, whose names and aliases meet
+    every case of `label_index`: an alias named like a label ("2"), an alias
+    to a digit string that names no label ("w"), a label that only an alias
+    reaches (" z"), a padded alias that nothing reaches (" u"), and a label
+    of zero weight."""
+    labels = ["1", "x", "2", "y y", " z"]
+    f = np.zeros((5, 5, 5))
+    for a in range(5):
+        f[0, a, a] = f[a, 0, a] = 1.0
+    doc = {"name": "spelled", "kind": "abstract", "labels": labels,
+           "aliases": {"id": "1", "2": "x", "w": "7", "v": "y y", " u": "x", "z": " z"},
+           "channel": [[[v, 0.0] for v in row] for row in np.diag([1, 0.5, -0.5, 0.25, 0])],
+           "fusion": {"labels": labels, "coefficients": [[[[v, 0.0] for v in r] for r in m]
+                                                         for m in f]}}
+    return parse_document(json.dumps(doc), load_model)
+
+
+LABEL_MODELS = {"qutrit": preset("qutrit"), "fibonacci": preset("fibonacci"),
+                "spelled": spelled_model()}
+
+
+def label_spellings(model) -> list:
+    """Every way a request may spell a label of `model`, or fail to."""
+    names = [*model.labels, *model.aliases]
+    return [*names, *(f" {k}" for k in names), *(f"{k}\t" for k in names),
+            *(str(k) for k in range(-1, 11)), " 2 ", "٣", "²", "０",
+            *range(-1, len(model.labels) + 2), *map(np.int64, range(3)),
+            True, False, None, 1.0, "nope", "", "D1", [1], {"d1": 1}]
+
+
+def insertion_outcome(model, labels):
+    """`insertion_labels`, or its error text."""
+    try:
+        return model.insertion_labels(labels)
+    except ValueError as exc:
+        return str(exc)
+
+
+def reference_outcome(model, labels):
+    """`label_index` and the zero-weight refusal on each label in turn, or
+    the first error text."""
+    out = []
+    try:
+        for label in labels:
+            out.append(model.label_index(label))
+            if model.zero_weight[out[-1]]:
+                raise ValueError("zero ascending weight excluded")
+    except ValueError as exc:
+        return str(exc)
+    return tuple(out)
+
+
+def test_spelled_model_meets_every_label_case():
+    m = LABEL_MODELS["spelled"]
+    assert m.zero_weight == (False, False, False, False, True)
+    assert [m.label_index(k) for k in ("2", "z", "id", " 1 ")] == [1, 4, 0, 0]
+    assert reference_outcome(m, ["w"]) == "label index 7 out of range"
+    assert reference_outcome(m, [" u"]) == "unknown field label ' u'"
+    assert reference_outcome(m, ["z"]) == "zero ascending weight excluded"
+    assert " z" not in m.label_table and " u" not in m.label_table
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MODELS))
+def test_label_table_agrees_with_label_index(name):
+    m = LABEL_MODELS[name]
+    assert m.label_table and all(m.label_index(k) == i for k, i in m.label_table.items())
+    for label in label_spellings(m):
+        assert insertion_outcome(m, [label]) == reference_outcome(m, [label]), label
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_MODELS))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_property_label_table_agrees_with_label_index(name, data):
+    # any sequence of spellings: the same indices, or the first bad label's error
+    m = LABEL_MODELS[name]
+    labels = data.draw(st.lists(st.sampled_from(label_spellings(m)), max_size=8))
+    assert insertion_outcome(m, labels) == reference_outcome(m, labels)
