@@ -24,8 +24,9 @@ only for its `insertions` view.  The vacuum n-point reads its occupied
 leaves from the first 64 binary digits of each point, (p << 64) // q.  A
 Thompson-transformed correlator pulls each of those leaves, or the deeper
 image leaf of the state holding it, back through one leaf pair of the
-state.  Neither path builds a `Fraction`, an interval or a partition.  Slots are found by
-`DyadicPartition.index_of` bisection only on an explicit `partition=`.
+state.  Neither path builds a `Fraction`, an interval or a partition.
+Slots are found by `DyadicPartition.index_of` bisection only on an explicit
+`partition=`.
 """
 
 from __future__ import annotations

@@ -820,7 +820,8 @@ def test_transformed_request_routes_through_state(qutrit):
     # identity state falls back to the vacuum
     req_id = CorrelatorRequest.make([frac("1/4")], ["δ¹"], qutrit,
                                     state=th.IDENTITY)
-    assert n_point(req_id, qutrit) == n_point(CorrelatorRequest(req_id.points, req_id.labels), qutrit)
+    vacuum = CorrelatorRequest(req_id.points, req_id.labels)
+    assert n_point(req_id, qutrit) == n_point(vacuum, qutrit)
 
 
 def test_covariance_law_generators_and_random_words(qutrit):
@@ -927,8 +928,8 @@ def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch
 
 def test_request_to_n_point_builds_no_field_insertion(qutrit, monkeypatch):
     # a request holds integer point pairs and label indices: reading a
-    # document and evaluating it, in the vacuum or in a state, builds no
-    # FieldInsertion; only the `insertions` view does
+    # document and evaluating it, in the vacuum, on an explicit partition or
+    # in a state, builds no FieldInsertion; only the `insertions` view does
     docs = [{"positions": ["1/7", "1/4", "2/3", "65535/65536"],
              "labels": ["δ¹", "d2", " δ¹", 2], "state": state}
             for state in ("vacuum", {"word": "C B^-1 A S A B"})]
@@ -941,6 +942,8 @@ def test_request_to_n_point_builds_no_field_insertion(qutrit, monkeypatch):
     monkeypatch.setattr(FieldInsertion, "__init__", refuse_built)
     reqs = [request_from_document(doc, qutrit) for doc in docs]
     assert [repr(n_point(req, qutrit)) for req in reqs] == list(map(repr, want))
+    msp = minimal_supporting_partition(reqs[0].positions())
+    assert repr(n_point(reqs[0], qutrit, partition=msp)) == repr(want[0])
     assert reqs[0].points == ((1, 7), (1, 4), (2, 3), (65535, 65536))
     assert reqs[0].labels == (1, 2, 1, 2)
     with pytest.raises(AssertionError, match="FieldInsertion built"):
