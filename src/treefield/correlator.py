@@ -20,13 +20,13 @@ of a leaf of level l is taken once per model, label and level
 (`ModelSpec.weights`).  A request holds its points as reduced integer pairs
 (p, q) and its labels as indices, read through the model's table of names
 and aliases (`ModelSpec.insertion_labels`); it builds a `FieldInsertion`
-only for its `insertions` view.  The vacuum n-point reads its occupied
-leaves from the first 64 binary digits of each point, (p << 64) // q.  A
-Thompson-transformed correlator pulls each of those leaves, or the deeper
-image leaf of the state holding it, back through one leaf pair of the
-state.  Neither path builds a `Fraction`, an interval or a partition.
+only for its `insertions` view.  `dyadic` owns the leaf geometry: the
+vacuum n-point evaluates on the points' leaves (`dyadic.vacuum_leaves`),
+and a Thompson-transformed correlator pulls each of those leaves, or the
+deeper image leaf of the state holding it, back through one leaf pair of
+the state.  Neither path builds a `Fraction`, an interval or a partition.
 Slots are found by `DyadicPartition.index_of` bisection only on an explicit
-`partition=`.
+`partition=`; `Fraction` remains only in `smeared_expectation`.
 """
 
 from __future__ import annotations
@@ -35,16 +35,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import thompson as th
-from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, PointLike,
-                     StdInterval, as_point, check_point_order,
+from .dyadic import (CirclePoint, DyadicPartition, PointLike, StdInterval,
+                     as_point, check_leaf, check_point_order,
                      check_regular_level, common_prefix_length,
                      common_refinement, fold_tree, is_refinement,
-                     minimal_supporting_partition, regular_partition)
+                     minimal_supporting_partition, regular_partition,
+                     vacuum_leaves)
 from .models import ModelSpec, ipow
 from .spectral import scaling_dimension
 
@@ -145,26 +146,7 @@ def _label_vectors(P: DyadicPartition, positions: Sequence[CirclePoint],
 def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
     """The occupied leaves of P, left to right: (a, l, vec) for every slot
     k holding `vecs[k]`, with P[k] = [a/2^l, (a+1)/2^l)."""
-    return [(P[k].left_numerator, P[k].level, vecs[k]) for k in sorted(vecs)]
-
-
-def _vacuum_geometry(points: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
-    """Yields the leaf (a, l) of each point in the points' minimal
-    supporting partition, straight from their integer pairs (p, q): X = (p <<
-    64) // q holds the first 64 binary digits of p/q, neighbours share c =
-    64 - bit_length(X xor X') of them, and an insertion sits one level below
-    the deeper of its two neighbour carets.  Neighbours that share all 64
-    digits would need a deeper partition."""
-    X = [(p << MAX_LEVEL) // q for p, q in points]
-    carets = [-1]
-    for x, y in zip(X, X[1:]):
-        if x == y:
-            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
-        carets.append(MAX_LEVEL - (x ^ y).bit_length())
-    carets.append(-1)
-    for i, x in enumerate(X):
-        l = max(carets[i], carets[i + 1]) + 1
-        yield x >> (MAX_LEVEL - l), l
+    return [(*P[k], vecs[k]) for k in sorted(vecs)]
 
 
 def _weighted(leaves: Iterable[Tuple[int, int]], labels: Sequence[int],
@@ -233,7 +215,7 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
     if partition is None:
-        return _evaluate(_weighted(_vacuum_geometry(req.points), req.labels, model), model)
+        return _evaluate(_weighted(vacuum_leaves(req.points), req.labels, model), model)
     positions = req.positions()
     if not is_refinement(minimal_supporting_partition(positions), partition):
         raise ValueError("partition does not refine the minimal supporting partition")
@@ -334,10 +316,13 @@ def ope_terms(alpha, beta, model: ModelSpec) -> List[Tuple[int, complex, float]]
 def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
                         P: DyadicPartition, model: ModelSpec) -> complex:
     """Vacuum expectation of phi_P(f) for a piecewise-constant matrix-valued
-    f; the integrals are exact (piece value times overlap length)."""
+    f; the integrals are exact (piece value times overlap length).  Each
+    piece must be a standard interval of [0,1) (`dyadic.check_leaf`)."""
     S = model.spectral
     if S is None:
         raise ValueError("no isometry in model")
+    for iv, _ in pieces:
+        check_leaf(*iv)
     cover = sorted(pieces, key=lambda t: t[0].left)
     left = Fraction(0)
     for iv, _ in cover:
@@ -426,7 +411,7 @@ def _transformed_leaves(f: th.ThompsonElement, req: CorrelatorRequest,
     ((a << d) + c - (b << d), l + d), d = k - m."""
     pairs = [f.image_pair_at(p, q) for p, q in req.points]
     on_q = [(b, m) if k <= m else (c, k)
-            for (c, k), (_, _, b, m) in zip(_vacuum_geometry(req.points), pairs)]
+            for (c, k), (_, _, b, m) in zip(vacuum_leaves(req.points), pairs)]
     leaves = []
     for (c, k, vec), (a, l, b, m) in zip(_weighted(on_q, req.labels, model), pairs):
         d = k - m

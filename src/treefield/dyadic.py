@@ -6,25 +6,28 @@ dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
 the coarse-graining distance read its level from q.  `CirclePoint.parse`
 reads an ASCII 'p/q' or a binary expansion with `int` calls and leaves every
 other spelling to `Fraction(str)` once a decimal exponent is sized.  A
-standard interval is its integer (left numerator, level) pair.  A finite
+standard interval is its integer pair (left numerator, level), the named
+tuple `StdInterval`, and a partition is the tuple of its leaves.  A finite
 binary tree is its dyadic partition: the leaves are the standard
 intervals, a left child the left half of its parent, so no tree object is
-built.  Partition checks and
-`fold_tree`, one stack pass folding a partition's tree, run on those
-integers.  Nested documents (0 a leaf, [left, right] a caret) are written by
-that fold and read by one explicit-stack pass straight to (a, l) leaves, so
-no function here recurses.  A leaf pair (a, l, b, m) maps the interval
-[a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk over two
-pair lists, `_compose_pairs`, composes Thompson elements, pulls a partition
-back through one, and gives the common refinement of two partitions as the
-domain of id_P o id_Q, all on integers.  The supporting-partition descent,
-the point-order check and `index_of` compare points by
-cross-multiplication.  Point correlators fold no partition: their
-evaluator works on occupied leaves (`correlator._evaluate`), and the vacuum
-correlator reads those straight from the points' binary digits.
-`Fraction` remains only in `is_refinement` and at the API edges: reading a
-`Fraction`, an int or a decimal into a `CirclePoint`, and `CirclePoint.value`,
-`StdInterval.left`, `.right` and `.width`.
+built.  Partition checks and `fold_tree`, one stack pass folding a
+partition's tree, run on those integers.  Nested documents (0 a leaf,
+[left, right] a caret) are written by that fold and read by one
+explicit-stack pass straight to (a, l) leaves, so no function here
+recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
+affinely onto [b/2^m, (b+1)/2^m); one merge walk over two pair lists,
+`_compose_pairs`, composes Thompson elements, pulls a partition back
+through one, and gives the common refinement of two partitions as the
+domain of id_P o id_Q, all on integers.  This module owns the leaf
+geometry of points: `vacuum_leaves` reads each point's leaf of the minimal
+supporting partition from its first 64 binary digits (the correlators
+evaluate on those leaves), and `minimal_supporting_partition` fills each
+gap between them with the maximal standard intervals of `dyadic_blocks`,
+which also splits `{"pieces"}` tables into leaves.  Points compare by
+cross-multiplication.  `Fraction` remains only in `is_refinement`,
+`correlator.smeared_expectation` and at the API edges: reading a
+`Fraction`, an int or a decimal into a `CirclePoint`, `CirclePoint.value`
+and `StdInterval.left`, `.right` and `.width`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
 """
@@ -36,7 +39,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple, TypeVar, Union)
 
 MAX_LEVEL = 64  # depth cap; deeper requests raise instead of truncating
 MAX_REGULAR_LEVEL = 20  # 2^level grids and regular partitions; the dense oracle's cap
@@ -225,19 +229,12 @@ def coarse_grain_distance(x: PointLike, y: PointLike) -> CirclePoint:
 # intervals and partitions
 
 
-@dataclass(frozen=True)
-class StdInterval:
-    """Standard dyadic interval [a/2^l, (a+1)/2^l)."""
+class StdInterval(NamedTuple):
+    """Standard dyadic interval [a/2^l, (a+1)/2^l) as the pair (a, l),
+    unchecked until a `DyadicPartition` holds it (`check_leaf_cover`)."""
 
     left_numerator: int
     level: int
-
-    def __post_init__(self):
-        a, l = self.left_numerator, self.level
-        if l < 0:
-            raise ValueError(f"negative level {l}")
-        if not 0 <= a < (1 << l):
-            raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)")
 
     @property
     def left(self) -> Fraction:
@@ -252,7 +249,7 @@ class StdInterval:
         return Fraction(1, 1 << self.level)
 
     def halves(self) -> Tuple["StdInterval", "StdInterval"]:
-        a, l = self.left_numerator, self.level
+        a, l = self
         return StdInterval(2 * a, l + 1), StdInterval(2 * a + 1, l + 1)
 
     def __str__(self) -> str:
@@ -267,7 +264,7 @@ class DyadicPartition:
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
-        check_leaf_cover([(iv.left_numerator, iv.level) for iv in ivs])
+        check_leaf_cover(ivs)
         object.__setattr__(self, "intervals", ivs)
 
     def __len__(self) -> int:
@@ -291,8 +288,8 @@ class DyadicPartition:
         lo, hi = 0, len(ivs) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            iv = ivs[mid]
-            if iv.left_numerator * q <= p << iv.level:
+            a, l = ivs[mid]
+            if a * q <= p << l:
                 lo = mid
             else:
                 hi = mid - 1
@@ -336,13 +333,19 @@ def check_leaf_cover(leaves: Sequence[Tuple[int, int]], cyclic: bool = False) ->
         if a + 1 != 1 << l:
             raise ValueError("partition must end at 1")
         return k
-    except ValueError:
-        for a, l in leaves:
-            if l < 0:
-                raise ValueError(f"negative level {l}") from None
-            if not 0 <= a < 1 << l:
-                raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)") from None
-        raise
+    except ValueError as exc:
+        fault = exc
+    for a, l in leaves:
+        check_leaf(a, l)
+    raise fault
+
+
+def check_leaf(a: int, l: int) -> None:
+    """Raise, naming it, unless (a, l) is a standard interval inside [0,1)."""
+    if l < 0:
+        raise ValueError(f"[{a}/2^{l}, ...) has a negative level")
+    if not 0 <= a < 1 << l:
+        raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)")
 
 
 TRIVIAL_PARTITION = DyadicPartition((StdInterval(0, 0),))
@@ -383,8 +386,8 @@ def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
     standard intervals covered so far, and an interval that is a right half
     joins its left sibling on top of the stack, `join(left, right)`, repeatedly."""
     stack: List[Tuple[int, int, T]] = []
-    for k, iv in enumerate(P.intervals):
-        a, l, value = iv.left_numerator, iv.level, leaf(k)
+    for k, (a, l) in enumerate(P.intervals):
+        value = leaf(k)
         while a & 1 and stack and stack[-1][0] == a - 1 and stack[-1][1] == l:
             value = join(stack.pop()[2], value)
             a >>= 1
@@ -440,7 +443,7 @@ LeafPair = Tuple[int, int, int, int]
 
 def identity_pairs(P: DyadicPartition) -> List[LeafPair]:
     """The identity on P: every interval maps onto itself."""
-    return [(iv.left_numerator, iv.level, iv.left_numerator, iv.level) for iv in P]
+    return [iv + iv for iv in P]
 
 
 def _compose_pairs(g: Sequence[LeafPair], h: Sequence[LeafPair]) -> List[LeafPair]:
@@ -498,40 +501,53 @@ def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
     return len(set(idx)) == len(idx)
 
 
+def vacuum_leaves(points: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:
+    """Yields the leaf (a, l) of each point in the points' minimal
+    supporting partition, straight from their integer pairs (p, q), which
+    strictly increase: X = (p << 64) // q holds the first 64 binary digits
+    of p/q, neighbours share c = 64 - bit_length(X xor X') of them, and a
+    point sits one level below the deeper of its two neighbour carets.
+    Neighbours that share all 64 digits would need a deeper partition."""
+    X = [(p << MAX_LEVEL) // q for p, q in points]
+    carets = [-1]
+    for x, y in zip(X, X[1:]):
+        if x == y:
+            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
+        carets.append(MAX_LEVEL - (x ^ y).bit_length())
+    carets.append(-1)
+    for i, x in enumerate(X):
+        l = max(carets[i], carets[i + 1]) + 1
+        yield x >> (MAX_LEVEL - l), l
+
+
+def dyadic_blocks(pos: int, end: int, widest: int = 1 << MAX_LEVEL) -> Iterator[StdInterval]:
+    """The maximal standard intervals inside [pos, end), in units of
+    2^-MAX_LEVEL, none wider than `widest` (a power of two), left to right:
+    each is as wide as the lowest set bit of its start allows and fits
+    before `end`."""
+    while pos < end:
+        size = min(pos & -pos or widest, widest, 1 << (end - pos).bit_length() - 1)
+        l = MAX_LEVEL + 1 - size.bit_length()
+        yield StdInterval(pos >> MAX_LEVEL - l, l)
+        pos += size
+
+
 def minimal_supporting_partition(points: Sequence[PointLike]) -> DyadicPartition:
     """Unique coarsest partition with at most one of the given points per
-    interval.
-
-    Construction descends from [0,1), splitting every interval that still
-    holds two or more points; the intervals that hold at most one are
-    appended left to right.  p/q lies left of the midpoint (2a+1)/2^(l+1)
-    of [a/2^l, (a+1)/2^l) iff p << (l+1) < (2a+1) q, and an interval's
-    points are an index range of the sorted tuple, split by bisection at
-    that test.
-    """
+    interval: the points' leaves (`vacuum_leaves`), and in each gap between
+    them the maximal standard intervals that fill it (`dyadic_blocks`).  An
+    empty interval of the partition is maximal inside its gap, since its
+    parent holds two points."""
     pts = [(pt.p, pt.q) for pt in map(as_point, points)]
     if not pts:
         raise ValueError("empty tuple of points")
     check_point_order(pts)
     out: List[StdInterval] = []
-    stack = [(0, 0, 0, len(pts))]  # (a, l, lo, hi): pts[lo:hi] lie in [a/2^l, (a+1)/2^l)
-    while stack:
-        a, l, lo, hi = stack.pop()
-        if hi - lo <= 1:
-            out.append(StdInterval(a, l))
-            continue
-        if l >= MAX_LEVEL:
-            raise ValueError(f"maximum partition level {MAX_LEVEL} exceeded")
-        l += 1
-        m = 2 * a + 1
-        k, top = lo, hi  # first point at or right of the midpoint m/2^l
-        while k < top:
-            mid = (k + top) // 2
-            p, q = pts[mid]
-            if p << l < m * q:
-                k = mid + 1
-            else:
-                top = mid
-        stack.append((m, l, k, hi))
-        stack.append((2 * a, l, lo, k))
+    pos = 0  # the end of the last leaf, in units of 2^-MAX_LEVEL
+    for a, l in vacuum_leaves(pts):
+        start = a << MAX_LEVEL - l
+        out += dyadic_blocks(pos, start)
+        out.append(StdInterval(a, l))
+        pos = start + (1 << MAX_LEVEL - l)
+    out += dyadic_blocks(pos, 1 << MAX_LEVEL)
     return DyadicPartition(tuple(out))

@@ -166,7 +166,7 @@ class ModelSpec:
         name = self.aliases.get(name, name)
         if name in self.labels:
             return self.labels.index(name)
-        if name.isdigit():
+        if name.isdecimal():
             return self.label_index(int(name))
         raise ValueError(f"unknown field label {label!r}")
 

@@ -12,13 +12,15 @@ gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
 sibling pairs, so reduced pairs are canonical: equal group elements have
 identical reduced pairs.  The generators are a literal table of pairs;
 tree-pair documents go straight between nested lists and (a, l) leaves
-(`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`), and breakpoint
-tables are split into leaves on integers.  Point evaluation, slopes and the
-Schwarzian measure read the pairs: a point p/q is located by bisection over
-the domain leaves, with no `Fraction`, and over the image leaves for the
-transformed correlator (`image_pair_at`).  The transformed expectation and
-the vacuum-invariance check hand partitions to the `treestate` matrix
-references.
+(`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`).  Breakpoint
+tables are split into leaves by `dyadic.dyadic_blocks`, the block generator
+of the minimal supporting partition, and `Fraction` enters only where a
+table is read and checked; `dyadic` owns the leaf geometry.  Point
+evaluation, slopes and the Schwarzian measure read the pairs: a point p/q
+is located by bisection over the domain leaves, with no `Fraction`, and
+over the image leaves for the transformed correlator (`image_pair_at`).
+The transformed expectation and the vacuum-invariance check hand
+partitions to the `treestate` matrix references.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
                      PointLike, StdInterval, as_point, check_leaf_cover,
                      check_regular_level, common_refinement, decimal_fraction,
-                     identity_pairs, is_refinement, nested_to_leaves,
-                     partition_to_nested, regular_partition, _compose_pairs)
+                     dyadic_blocks, identity_pairs, is_refinement,
+                     nested_to_leaves, partition_to_nested, regular_partition,
+                     _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
 
 
@@ -356,15 +359,10 @@ def _leaf_count(pos: int, end: int, widest: int, *_) -> int:
 
 def _leaves(pos: int, end: int, widest: int, offset: int, floor: int,
             c: int) -> List[LeafPair]:
-    """The coarsest leaf pairs of a part (`_part`), left to right."""
-    out = []
-    while pos < end:
-        size = min(pos & -pos or widest, widest, 1 << (end - pos).bit_length() - 1)
-        l = MAX_LEVEL + 1 - size.bit_length()
-        a = pos >> MAX_LEVEL - l
-        out.append((a, l, a + (offset << l - floor), l - c))
-        pos += size
-    return out
+    """The coarsest leaf pairs of a part (`_part`), left to right: its
+    leaves are `dyadic.dyadic_blocks` of [pos, end)."""
+    return [(a, l, a + (offset << l - floor), l - c)
+            for a, l in dyadic_blocks(pos, end, widest)]
 
 
 def element_to_document(e: ThompsonElement) -> dict:

@@ -249,6 +249,7 @@ def test_domain_error_exit_code(capsys, tmp_path):
         (corr + ["--request", str(no_labels)], "list 'labels'"),
         (corr + ["--request", str(no_positions)], "list 'positions'"),
         (corr + ["--request", str(bool_labels)], "unknown field label True"),
+        (corr + ["--at", "1/4", "--fields", "²"], "unknown field label '²'"),
     ]
     for k, (state, message) in enumerate(bad_states):
         bad_state = tmp_path / f"bad_state_{k}.json"

@@ -339,6 +339,17 @@ def test_property_request_order_check_matches_fraction_order(qutrit, points):
     assert got == fraction_order(points)
 
 
+def refuse_intervals_and_partitions(monkeypatch, path):
+    """Make building a `StdInterval`, by any constructor of the named tuple,
+    or a `DyadicPartition` raise an AssertionError that names `path`."""
+    def refuse(cls, *args):
+        raise AssertionError(f"{cls.__name__} built on the {path} path")
+
+    monkeypatch.setattr(StdInterval, "__new__", refuse)
+    monkeypatch.setattr(StdInterval, "_make", classmethod(refuse))
+    monkeypatch.setattr(DyadicPartition, "__post_init__", lambda self: refuse(type(self)))
+
+
 def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     # after parsing, the vacuum path runs on integer pairs: it builds no
     # interval, no partition and no interval endpoint as a Fraction, and
@@ -364,16 +375,14 @@ def test_vacuum_n_point_builds_no_interval_fractions(qutrit, monkeypatch):
     monkeypatch.setattr(DyadicPartition, "index_of",
                         counted("index_of", DyadicPartition.index_of))
 
-    def refuse_built(self):
-        raise AssertionError(f"{type(self).__name__} built on the vacuum path")
-
     with monkeypatch.context() as m:
         m.setattr(StdInterval, "left", property(refuse))
         m.setattr(StdInterval, "right", property(refuse))
-        m.setattr(StdInterval, "__post_init__", refuse_built)
-        m.setattr(DyadicPartition, "__post_init__", refuse_built)
+        refuse_intervals_and_partitions(m, "vacuum")
         req = request_from_document(doc, qutrit)
         assert n_point(req, qutrit) == want
+        with pytest.raises(AssertionError, match="StdInterval built on the vacuum path"):
+            minimal_supporting_partition(req.positions())
     assert calls == {"index_of": 0}
 
     # an explicit partition finds the slots by bisection, to the same bits
@@ -656,6 +665,13 @@ def test_smeared_error_paths(qutrit):
     with pytest.raises(ValueError, match="cover"):
         smeared_expectation([(StdInterval(0, 1), np.eye(3))],
                             regular_partition(1), qutrit)
+    # a piece that is no standard interval of [0,1) is named
+    for piece, message in [((0, -1), r"\[0/2\^-1, \.\.\.\) has a negative level"),
+                           ((3, 1), r"\[3/2\^1, \.\.\.\) is not inside \[0,1\)")]:
+        with pytest.raises(ValueError, match=message):
+            smeared_expectation([(StdInterval(0, 1), np.eye(3)),
+                                 (StdInterval(*piece), np.eye(3))],
+                                regular_partition(1), qutrit)
     fib = preset("fibonacci")
     with pytest.raises(ValueError, match="no isometry in model"):
         smeared_expectation([(StdInterval(0, 0), np.eye(2))],
@@ -916,11 +932,7 @@ def test_transformed_n_point_builds_no_interval_or_partition(qutrit, monkeypatch
     want = _evaluate(pulled_back_leaves(f, req, qutrit), qutrit)
     assert want != 0 and math.isfinite(abs(want))
 
-    def refuse_built(self):
-        raise AssertionError(f"{type(self).__name__} built on the transformed path")
-
-    monkeypatch.setattr(StdInterval, "__post_init__", refuse_built)
-    monkeypatch.setattr(DyadicPartition, "__post_init__", refuse_built)
+    refuse_intervals_and_partitions(monkeypatch, "transformed")
     assert repr(n_point(req, qutrit)) == repr(want)
     with pytest.raises(AssertionError, match="built on the transformed path"):
         pulled_back_leaves(f, req, qutrit)

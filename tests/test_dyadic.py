@@ -586,3 +586,18 @@ def test_property_partition_rejects_gap_overlap_and_short_cover(P, k):
         DyadicPartition(ivs[1:])
     with pytest.raises(ValueError, match="must end at 1"):
         DyadicPartition(ivs[:-1])
+
+
+@pytest.mark.parametrize("leaves, message", [
+    ([(0, -1)], r"\[0/2\^-1, \.\.\.\) has a negative level"),
+    ([(0, 1), (1, -1)], r"\[1/2\^-1, \.\.\.\) has a negative level"),
+    ([(0, 1), (2, 1)], r"\[2/2\^1, \.\.\.\) is not inside \[0,1\)"),
+    ([(-1, 1), (0, 1), (1, 1)], r"\[-1/2\^1, \.\.\.\) is not inside \[0,1\)"),
+    ([(0, 1), (5, 3), (1, -2)], r"\[1/2\^-2, \.\.\.\) has a negative level"),
+])
+def test_partition_names_a_bad_leaf(leaves, message):
+    # a leaf of negative level or outside [0,1) also breaks the cover; the
+    # partition names the first such leaf, never a fault of the cover or a
+    # failed shift
+    with pytest.raises(ValueError, match=message):
+        DyadicPartition(tuple(StdInterval(a, l) for a, l in leaves))

@@ -33,8 +33,11 @@ def test_qutrit_label_aliases():
     assert m.label_index("b2") == m.label_index("β²")
     assert m.label_index(0) == m.label_index("1") == 0
     assert m.label_index("7") == 7
+    assert m.label_index("٣") == 3  # a decimal digit of another script
     with pytest.raises(ValueError, match="unknown field label"):
         m.label_index("sigma")
+    with pytest.raises(ValueError, match="unknown field label '²'"):
+        m.label_index("²")  # a digit, but no decimal one: `int` refuses it
 
 
 def test_fibonacci_values():
