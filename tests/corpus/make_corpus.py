@@ -16,7 +16,13 @@ holds correlators in states whose words spell each generator every way
 labels every way a request document may (names, ASCII aliases, padded
 names, digit strings, JSON ints, booleans, unknown names) and gives
 request documents of the wrong shape: non-list `positions` or `labels`,
-and lists of unequal length.  No input above a block moves.
+and lists of unequal length.  A fourth block, from `RUNS_SEED`, holds
+correlators in states whose words reach the level cap `MAX_LEVEL` (64):
+`A^63`, `A^64` and `A^64 A^-1`, `A^62` and `A^63` followed by `B B^-1`
+pairs, `(A^60 A^-60)^k`, words of single-generator runs of 80 to 300
+tokens, one random word of 1024 tokens, and a bad token after a prefix
+that is too deep and before one; `thompson compose` and `reduce` commands
+on the same words close the CLI corpus.  No input above a block moves.
 
 Each file starts with a header line that records the Python and numpy
 versions the outputs were made with.  `tests/test_corpus.py` replays each
@@ -276,6 +282,11 @@ def commands() -> List[List[str]]:
     out += [[], ["bogus-subcommand"], ["spectrum"], ["check", *QUTRIT, "nothing"],
             ["staircase", *QUTRIT, "--x", "0", "--alpha", "0", "--beta", "0", "--depth", "x"],
             ["thompson", "invert", "A"]]
+    # words at the level cap (the last block of the op corpus)
+    for k, word in enumerate(deep_words()):
+        out.append(["thompson", "compose", *word.split()])
+        if k % 4 == 0:
+            out.append(["thompson", "reduce", json.dumps({"word": word})])
     return out
 
 
@@ -285,6 +296,7 @@ def commands() -> List[List[str]]:
 OPS_SEED = 1
 SPELLINGS_SEED = 2
 LABELS_SEED = 3
+RUNS_SEED = 4
 SPELLINGS = ("", "⁻¹", "^-1", "-1")
 DELTA_LABELS = ("d1", "d2")
 PAIR_LABELS = ("b1", "b2", "b3", "a1", "a2", "a3")
@@ -373,7 +385,7 @@ def ops() -> List[Tuple[str, dict]]:
     for bad in ("D", "A^-1-1", "A⁻¹^-1"):
         out.append(("npoint", {"positions": _points(rng, 2), "labels": ["d1", "d2"],
                                "state": {"word": f"A {bad} B"}}))
-    return out + label_ops()
+    return out + label_ops() + deep_word_ops()
 
 
 def label_ops() -> List[Tuple[str, dict]]:
@@ -428,6 +440,45 @@ def label_ops() -> List[Tuple[str, dict]]:
         {"positions": ["1/3", "1/3"], "labels": ["d1", True]},
     )]
     return out
+
+
+def _run_word(rng: random.Random, length: int) -> str:
+    """Word of `length` tokens in runs of one token: a generator or its
+    inverse, repeated up to length / 2 times."""
+    toks: List[str] = []
+    while len(toks) < length:
+        tok = rng.choice("ABCS") + rng.choice(("", "^-1"))
+        toks += [tok] * min(rng.randint(1, length // 2), length - len(toks))
+    return " ".join(toks)
+
+
+@functools.lru_cache(maxsize=None)
+def deep_words() -> Tuple[str, ...]:
+    """The words of the level-cap block, drawn from `RUNS_SEED`: prefix
+    products of `A^k` have domain leaves down to level k + 1, so `A^64` is
+    the shortest power past MAX_LEVEL."""
+    rng = random.Random(f"runs/{RUNS_SEED}")
+
+    def join(*parts: List[str]) -> str:
+        return " ".join(tok for part in parts for tok in part)
+
+    A, A_1, BB_1 = ["A"], ["A^-1"], ["B", "B^-1"]
+    words = [join(A * 63), join(A * 64), join(A * 64, A_1)]
+    words += [join(A * 62, BB_1 * k) for k in (1, 2, 20)]
+    words += [join(A * 63, BB_1), join(A * 63, BB_1 * 8)]
+    words += [join((A * 60 + A_1 * 60) * k) for k in (1, 2, 8)]
+    words += [_run_word(rng, length) for length in (80, 120, 160, 200, 250, 300)
+              for _ in range(4)]
+    words.append(_word(rng, 1024))
+    words += [join(A * 64, ["B", "D"]), join(["D"], A * 64), join(["A^-1-1"], A * 64)]
+    return tuple(words)
+
+
+def deep_word_ops() -> List[Tuple[str, dict]]:
+    """A correlator of four points in the state of each `deep_words` word."""
+    rng = random.Random(f"runs/{RUNS_SEED}/points")
+    return [("npoint", {"positions": _points(rng, 4), "labels": _labels(rng, 4, True),
+                        "state": {"word": word}}) for word in deep_words()]
 
 
 @functools.lru_cache(maxsize=None)
