@@ -27,7 +27,7 @@ which also splits `{"pieces"}` tables into leaves.  Points compare by
 cross-multiplication.  `Fraction` remains only in `is_refinement`,
 `correlator.smeared_expectation` and at the API edges: reading a
 `Fraction`, an int or a decimal into a `CirclePoint`, `CirclePoint.value`
-and `StdInterval.left`, `.right` and `.width`.
+and `StdInterval.left` and `.right`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
 """
@@ -244,10 +244,6 @@ class StdInterval(NamedTuple):
     def right(self) -> Fraction:
         return Fraction(self.left_numerator + 1, 1 << self.level)
 
-    @property
-    def width(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
     def halves(self) -> Tuple["StdInterval", "StdInterval"]:
         a, l = self
         return StdInterval(2 * a, l + 1), StdInterval(2 * a + 1, l + 1)
@@ -258,12 +254,16 @@ class StdInterval(NamedTuple):
 
 @dataclass(frozen=True)
 class DyadicPartition:
-    """Ordered, contiguous standard dyadic cover of [0,1)."""
+    """Ordered, contiguous standard dyadic cover of [0,1), of `StdInterval`
+    leaves only."""
 
     intervals: Tuple[StdInterval, ...]
 
     def __post_init__(self):
         ivs = tuple(self.intervals)
+        if not set(map(type, ivs)) <= {StdInterval}:
+            bad = next(iv for iv in ivs if type(iv) is not StdInterval)
+            raise ValueError(f"partition leaf {bad!r} is not a StdInterval")
         check_leaf_cover(ivs)
         object.__setattr__(self, "intervals", ivs)
 

@@ -213,22 +213,42 @@ _WORD_TOKENS = {name + suffix: ThompsonElement(pairs).inverse().pairs if suffix 
                 for name, pairs in _GENERATORS.items() for suffix in ("",) + _INVERSE_SUFFIXES}
 
 
+def _product(run: Sequence[str]) -> Sequence[LeafPair]:
+    """Reduced pairs of a run of word tokens, multiplied by halves."""
+    if len(run) == 1:
+        return _WORD_TOKENS[run[0]]
+    half = len(run) // 2
+    return _cancel(_compose_pairs(_product(run[:half]), _product(run[half:])))
+
+
 def parse_word(word: str) -> ThompsonElement:
     """Generator word, leftmost acting last: 'A C' is A o C.
 
-    Inverses: 'A⁻¹', 'A^-1' or 'A-1'.  At most MAX_WORD_LENGTH generators;
-    the product is reduced after each one, and every reduced prefix product
-    must keep its domain leaves within MAX_LEVEL.
+    Inverses: 'A⁻¹', 'A^-1' or 'A-1'.  At most MAX_WORD_LENGTH generators,
+    and every reduced prefix product must keep its domain leaves within
+    MAX_LEVEL.  The word is read in runs: each run is multiplied by halves
+    (`_product`; reduced pairs are unique, so any bracketing gives them)
+    and joined to the prefix in one product.  Composing a generator onto P
+    deepens the reduced product to at most max(3, depth(P) + 1), so a run
+    of MAX_LEVEL - max(2, D) tokens after a prefix of depth D has no prefix
+    or half product past MAX_LEVEL; a refusal can only come at a run of
+    one token, the product step of a left-to-right fold, with its error.
     """
     tokens = word.split()
     if len(tokens) > MAX_WORD_LENGTH:
         raise ValueError(f"word has {len(tokens)} generators; "
                          f"at most {MAX_WORD_LENGTH} are allowed")
     pairs: Sequence[LeafPair] = IDENTITY.pairs
-    for tok in tokens:
-        if tok not in _WORD_TOKENS:  # raises: unknown generator, named without its suffix
-            generator(next((tok[:-len(s)] for s in _INVERSE_SUFFIXES if tok.endswith(s)), tok))
-        pairs = _cancel(_compose_pairs(pairs, _WORD_TOKENS[tok]))
+    i = 0
+    while i < len(tokens):
+        run = tokens[i:i + max(1, MAX_LEVEL - max(2, max(map(itemgetter(1), pairs))))]
+        for tok in run:
+            if tok not in _WORD_TOKENS:  # raises: unknown generator, named without its suffix
+                generator(next((tok[:-len(s)] for s in _INVERSE_SUFFIXES
+                                if tok.endswith(s)), tok))
+        product = _product(run)
+        pairs = _cancel(_compose_pairs(pairs, product)) if i else product
+        i += len(run)
     return ThompsonElement(pairs)
 
 

@@ -1,16 +1,19 @@
 """The exact `Fraction` piecewise-linear form of a Thompson element: the
 independent reference that the integer leaf-pair algebra of
 `treefield.thompson` is checked against (point evaluation, inverses, slopes,
-the Schwarzian measure, breakpoint tables and reduction)."""
+the Schwarzian measure, breakpoint tables and reduction).  `fold_word` is
+the left-to-right word product, the reference for `thompson.parse_word`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
-from treefield.dyadic import MAX_LEVEL, CirclePoint, LeafPair, PointLike, as_point
-from treefield.thompson import ThompsonElement
+from treefield.dyadic import (MAX_LEVEL, CirclePoint, LeafPair, PointLike, as_point,
+                              _compose_pairs)
+from treefield.thompson import (IDENTITY, MAX_WORD_LENGTH, ThompsonElement, _INVERSE_SUFFIXES,
+                                _WORD_TOKENS, _cancel, generator)
 
 
 def _as_fraction(x: PointLike) -> Fraction:
@@ -156,4 +159,23 @@ def from_piecewise(m: PiecewiseLinearMap) -> ThompsonElement:
         build(2 * a + 1, l + 1)
 
     build(0, 0)
+    return ThompsonElement(pairs)
+
+
+def fold_word(word: str) -> ThompsonElement:
+    """Generator word, leftmost acting last: 'A C' is A o C.
+
+    Inverses: 'A⁻¹', 'A^-1' or 'A-1'.  At most MAX_WORD_LENGTH generators;
+    the product is reduced after each one, and every reduced prefix product
+    must keep its domain leaves within MAX_LEVEL.
+    """
+    tokens = word.split()
+    if len(tokens) > MAX_WORD_LENGTH:
+        raise ValueError(f"word has {len(tokens)} generators; "
+                         f"at most {MAX_WORD_LENGTH} are allowed")
+    pairs: Sequence[LeafPair] = IDENTITY.pairs
+    for tok in tokens:
+        if tok not in _WORD_TOKENS:  # raises: unknown generator, named without its suffix
+            generator(next((tok[:-len(s)] for s in _INVERSE_SUFFIXES if tok.endswith(s)), tok))
+        pairs = _cancel(_compose_pairs(pairs, _WORD_TOKENS[tok]))
     return ThompsonElement(pairs)

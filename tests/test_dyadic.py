@@ -601,3 +601,15 @@ def test_partition_names_a_bad_leaf(leaves, message):
     # failed shift
     with pytest.raises(ValueError, match=message):
         DyadicPartition(tuple(StdInterval(a, l) for a, l in leaves))
+
+
+@pytest.mark.parametrize("leaves", [
+    ((0, 1), (1, 1)),
+    (StdInterval(0, 1), (1, 1)),
+    ([0, 0],),
+    (0,),
+])
+def test_partition_refuses_leaves_that_are_not_intervals(leaves):
+    # a plain pair would pass the cover check and then fail on `.level`
+    with pytest.raises(ValueError, match="is not a StdInterval"):
+        DyadicPartition(leaves)

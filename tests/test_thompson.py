@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 import treefield.correlator
 import treefield.dyadic
 import treefield.thompson as thompson_module
-from piecewise_reference import (PiecewiseLinearMap, PLPiece, from_piecewise,
+from piecewise_reference import (PiecewiseLinearMap, PLPiece, fold_word, from_piecewise,
                                  to_piecewise)
 from treefield.cli import main
 from treefield.correlator import CorrelatorRequest, transformed_correlator
-from treefield.dyadic import (TRIVIAL_PARTITION, CirclePoint, DyadicPartition,
-                              StdInterval, partition_to_nested, regular_partition)
+from treefield.dyadic import (MAX_LEVEL, TRIVIAL_PARTITION, CirclePoint, DyadicPartition,
+                              StdInterval, _compose_pairs, partition_to_nested,
+                              regular_partition)
 from treefield.models import degenerate_isometry, preset
 from treefield.thompson import (IDENTITY, ThompsonElement, compose,
                                 element_from_document, element_to_document,
@@ -291,6 +292,49 @@ def test_parse_word_and_documents():
     assert equal(element_from_document({"word": "A C"}), S)
 
 
+def depth(e):
+    """The deepest domain level of an element's pairs."""
+    return max(l for _, l, _, _ in e.pairs)
+
+
+def test_parse_word_keeps_the_prefix_level_rule():
+    # A^k has depth k + 1, and every prefix product must stay within
+    # MAX_LEVEL: A^63 B B^-1 is A^63, but its prefix A^63 B is refused
+    word = " ".join(["A"] * (MAX_LEVEL - 1))
+    assert depth(parse_word(word)) == MAX_LEVEL
+    assert depth(parse_word(word + " A^-1")) == MAX_LEVEL - 1
+    for deeper in (word + " A", word + " B B^-1", word + " A D"):
+        with pytest.raises(ValueError, match="no dyadic domain tree"):
+            parse_word(deeper)
+    with pytest.raises(ValueError, match="unknown generator 'D'"):
+        parse_word("D " + word + " A")
+
+
+def test_one_generator_deepens_a_product_by_at_most_one_tightly():
+    # the bound max(3, depth(P) + 1) of the lemma below is reached: A^k o A
+    # deepens A^k by one, and B alone has depth 3
+    for k in (1, 10, 40):
+        assert depth(parse_word(" ".join(["A"] * (k + 1)))) == depth(parse_word(" ".join(["A"] * k))) + 1
+    assert depth(B) == 3 and depth(IDENTITY) == 0
+
+
+@pytest.mark.parametrize("word", [
+    "", "A", "A C", "A A⁻¹", " ".join(["S"] * 1024), " ".join(["A", "A^-1"] * 300),
+    " ".join(["A"] * 62 + ["B", "B^-1"] * 30), " ".join((["A"] * 60 + ["A^-1"] * 60) * 8),
+    " ".join(["B^-1"] * 100), " ".join(["A"] * 64 + ["D"]), " ".join(["S"] * 1025),
+])
+def test_parse_word_matches_the_left_fold(word):
+    assert word_outcome(parse_word, word) == word_outcome(fold_word, word)
+
+
+def word_outcome(parse, word):
+    """The pairs `parse` gives for `word`, or its error text."""
+    try:
+        return parse(word).pairs
+    except ValueError as exc:
+        return str(exc)
+
+
 def test_pullback_partition_rotation():
     Q = regular_partition(2)
     P, sigma = pullback_partition(reduce(C), Q)
@@ -343,6 +387,44 @@ def split(e, i):
     a, l, b, m = pairs[i]
     pairs[i:i + 1] = [(2 * a, l + 1, 2 * b, m + 1), (2 * a + 1, l + 1, 2 * b + 1, m + 1)]
     return ThompsonElement(pairs)
+
+
+WORD_TOKENS = sorted(thompson_module._WORD_TOKENS)
+BAD_TOKENS = ("D", "A^-1-1", "A⁻¹^-1", "a", "S-1-1")
+
+
+@st.composite
+def run_words(draw, max_tokens=300, bad_tokens=True):
+    """Words of up to `max_tokens` tokens: runs of one token (up to 80, so
+    past the level cap), single tokens, and in half the words now and then
+    a bad token."""
+    runs = st.tuples(st.sampled_from(WORD_TOKENS), st.integers(1, 80))
+    single = st.tuples(st.sampled_from(WORD_TOKENS), st.just(1))
+    bad = st.tuples(st.sampled_from(BAD_TOKENS), st.just(1))
+    kinds = [runs, runs, single, single, single] + [bad] * (bad_tokens and draw(st.booleans()))
+    segments = draw(st.lists(st.one_of(*kinds), max_size=40))
+    return " ".join([tok for tok, k in segments for _ in range(k)][:max_tokens])
+
+
+@settings(max_examples=300)
+@given(run_words())
+def test_property_parse_word_matches_the_left_fold(word):
+    # reduced pairs are unique, so runs multiplied by halves give the fold's
+    # pairs; and the refusals, of a bad token or a prefix past MAX_LEVEL,
+    # come at the same token with the same text
+    assert word_outcome(parse_word, word) == word_outcome(fold_word, word)
+
+
+@PROPS
+@given(st.one_of(elements(), run_words(MAX_LEVEL - 3, bad_tokens=False).map(parse_word)))
+def test_property_one_generator_deepens_a_product_by_at_most_one(e):
+    # depth(reduce(P o t)) <= max(3, depth(P) + 1) for every token t, the
+    # bound on which parse_word's run length rests; P is any reduced product
+    # of depth up to MAX_LEVEL - 1 (a product of k tokens has depth at most
+    # k + 2), so that P o t stays within the cap
+    for pairs in set(thompson_module._WORD_TOKENS.values()):
+        product = ThompsonElement(thompson_module._cancel(_compose_pairs(e.pairs, pairs)))
+        assert depth(product) <= max(3, depth(e) + 1)
 
 
 @PROPS
@@ -488,7 +570,9 @@ def test_pullback_is_the_exact_preimage(f, cuts):
     for i, iv in enumerate(P):
         target = Q[sigma[i]]
         assert m(iv.left) == target.left
-        assert iv.width * Fraction(2) ** m.piece_at(iv.left).c == target.width
+        # widths 2^-level: f scales the pulled-back interval onto its target
+        width = Fraction(1, 1 << iv.level)
+        assert width * Fraction(2) ** m.piece_at(iv.left).c == Fraction(1, 1 << target.level)
     if f.n_leaves > 1:  # one step coarser than the range partition
         with pytest.raises(ValueError, match="does not refine"):
             pullback_partition(f, coarsen(f.range_partition()))
