@@ -10,7 +10,12 @@ pass of the merge walk `dyadic._compose_pairs` over two pair lists, and the
 same walk pulls a partition of the range back into the domain (it also
 gives `dyadic.common_refinement`); a reduction is one stack pass cancelling
 sibling pairs, so reduced pairs are canonical: equal group elements have
-identical reduced pairs.  The generators are a literal table of pairs;
+identical reduced pairs, and any bracketing of a word's product gives them.
+`parse_word` reads a word in runs, each multiplied by halves and joined to
+the reduced prefix in one product; one generator deepens a reduced product
+P to at most max(3, depth(P) + 1), so the run length keeps every prefix
+within MAX_LEVEL and a prefix past it is refused at the same token as in a
+left-to-right fold.  The generators are a literal table of pairs;
 tree-pair documents go straight between nested lists and (a, l) leaves
 (`dyadic.partition_to_nested`, `dyadic.nested_to_leaves`).  Breakpoint
 tables are split into leaves by `dyadic.dyadic_blocks`, the block generator
@@ -246,7 +251,7 @@ def parse_word(word: str) -> ThompsonElement:
             if tok not in _WORD_TOKENS:  # raises: unknown generator, named without its suffix
                 generator(next((tok[:-len(s)] for s in _INVERSE_SUFFIXES
                                 if tok.endswith(s)), tok))
-        product = _product(run)
+        product = _product(run)  # the first run's product is the first prefix
         pairs = _cancel(_compose_pairs(pairs, product)) if i else product
         i += len(run)
     return ThompsonElement(pairs)

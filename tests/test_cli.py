@@ -157,13 +157,15 @@ def comb_document(n):
 
 
 def test_thompson_depth_bound(capsys):
-    # MAX_LEVEL = 64 admits A^63 and refuses A^64, also as a prefix product
+    # MAX_LEVEL = 64 admits A^63 and refuses A^64, also as a prefix product:
+    # A^63 B B^-1 is A^63, but its prefix A^63 B is too deep
     deep = "error: not a Thompson map: no dyadic domain tree found\n"
     code, out, err = run(capsys, "thompson", "compose", *["A"] * 63)
     assert code == 0 and err == ""
     code, out2, _ = run(capsys, "thompson", "reduce", comb_document(63))
     assert code == 0 and out2 == out
-    for word in (["A"] * 64, ["A"] * 64 + ["A^-1"]):
+    for word in (["A"] * 64, ["A"] * 64 + ["A^-1"], ["A"] * 63 + ["B", "B^-1"],
+                 ["A"] * 64 + ["D"]):
         assert run(capsys, "thompson", "compose", *word) == (1, "", deep)
     assert run(capsys, "thompson", "reduce", comb_document(64)) == (1, "", deep)
 
