@@ -22,7 +22,10 @@ correlators in states whose words reach the level cap `MAX_LEVEL` (64):
 pairs, `(A^60 A^-60)^k`, words of single-generator runs of 80 to 300
 tokens, one random word of 1024 tokens, and a bad token after a prefix
 that is too deep and before one; `thompson compose` and `reduce` commands
-on the same words close the CLI corpus.  No input above a block moves.
+on the same words close the CLI corpus.  A fifth block, with no seed,
+spells points every way a request document may: binary expansions,
+decimals and exponents, padded, unreduced and non-ASCII ratios, refused
+spellings, and JSON numbers and booleans.  No input above a block moves.
 
 Each file starts with a header line that records the Python and numpy
 versions the outputs were made with.  `tests/test_corpus.py` replays each
@@ -308,6 +311,11 @@ GOOD_LABELS = ("δ¹", "β²", "α³", "1", "d1", "b2", "a3", "id", " d2", "β¹
                "2", "8", " 5 ", "0", "٣", 0, 4, 8)
 BAD_LABELS = ("9", "10", 9, -1, True, False, "nope", "δ³", "", "D1", None, 1.5, "²",
               [1], {"d1": 1})
+# point spellings a request may use, one or more per branch of the point
+# reader, and spellings it refuses; a JSON number or boolean is read as its
+# `str`, so 0.1 is the binary expansion 1/2
+GOOD_POINTS = ("0.011", " 0.011\t", "0.25", "3e-2", " 1/2 ", "2/4", "١/٢", 0.5, 0.1)
+BAD_POINTS = ("1/0", "3/2", "1e-1000000", 1, True)
 
 
 def _points(rng: random.Random, n: int) -> List[str]:
@@ -385,7 +393,7 @@ def ops() -> List[Tuple[str, dict]]:
     for bad in ("D", "A^-1-1", "A⁻¹^-1"):
         out.append(("npoint", {"positions": _points(rng, 2), "labels": ["d1", "d2"],
                                "state": {"word": f"A {bad} B"}}))
-    return out + label_ops() + deep_word_ops()
+    return out + label_ops() + deep_word_ops() + point_ops()
 
 
 def label_ops() -> List[Tuple[str, dict]]:
@@ -479,6 +487,18 @@ def deep_word_ops() -> List[Tuple[str, dict]]:
     rng = random.Random(f"runs/{RUNS_SEED}/points")
     return [("npoint", {"positions": _points(rng, 4), "labels": _labels(rng, 4, True),
                         "state": {"word": word}}) for word in deep_words()]
+
+
+def point_ops() -> List[Tuple[str, dict]]:
+    """The point-spelling block: each spelling before the point 7/8 and
+    after 1/64 in the vacuum, and before 7/8 in the state `A B`."""
+    out: List[Tuple[str, dict]] = []
+    for x in GOOD_POINTS + BAD_POINTS:
+        for positions, state in (([x, "7/8"], "vacuum"), (["1/64", x], "vacuum"),
+                                 ([x, "7/8"], {"word": "A B"})):
+            out.append(("npoint", {"positions": positions, "labels": ["d1", "d2"],
+                                   "state": state}))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
