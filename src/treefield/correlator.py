@@ -20,13 +20,16 @@ of a leaf of level l is taken once per model, label and level
 (`ModelSpec.weights`).  A request holds its points as reduced integer pairs
 (p, q) and its labels as indices, read through the model's table of names
 and aliases (`ModelSpec.insertion_labels`); it builds a `FieldInsertion`
-only for its `insertions` view.  `dyadic` owns the leaf geometry: the
+only for its `insertions` view; a document's points are read by the one
+point reader, `dyadic.read_point`.  `dyadic` owns the leaf geometry: the
 vacuum n-point evaluates on the points' leaves (`dyadic.vacuum_leaves`),
 and a Thompson-transformed correlator pulls each of those leaves, or the
 deeper image leaf of the state holding it, back through one leaf pair of
 the state.  Neither path builds a `Fraction`, an interval or a partition.
-Slots are found by `DyadicPartition.index_of` bisection only on an explicit
-`partition=`; `Fraction` remains only in `smeared_expectation`.
+On an explicit `partition=` each point's leaf is found by the one leaf
+lookup, `dyadic.leaf_index` (through `DyadicPartition.index_of`); every
+path weights its leaves with `_weighted`.  `Fraction` remains only in
+`smeared_expectation`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +47,8 @@ from .dyadic import (CirclePoint, DyadicPartition, PointLike, StdInterval,
                      as_point, check_leaf, check_point_order,
                      check_regular_level, common_prefix_length,
                      common_refinement, fold_tree, is_refinement,
-                     minimal_supporting_partition, regular_partition,
-                     vacuum_leaves)
+                     minimal_supporting_partition, read_point,
+                     regular_partition, vacuum_leaves)
 from .models import ModelSpec, ipow
 from .spectral import scaling_dimension
 
@@ -108,8 +111,7 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
     for key in ("positions", "labels"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"request document needs a list {key!r}")
-    points = tuple([(pt.p, pt.q) for pt in [CirclePoint.parse(str(x))
-                                            for x in doc["positions"]]])
+    points = tuple([read_point(str(x)) for x in doc["positions"]])
     state = None
     st = doc.get("state", "vacuum")
     if st not in (None, "vacuum"):
@@ -126,27 +128,6 @@ def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
 
 # an occupied leaf (a, l, vec): the interval [a/2^l, (a+1)/2^l) holds vec
 Leaf = Tuple[int, int, np.ndarray]
-
-
-def _label_vectors(P: DyadicPartition, positions: Sequence[CirclePoint],
-                   labels: Sequence[int], model: ModelSpec) -> Dict[int, np.ndarray]:
-    """Slot of P -> coordinates of the weighted insertion lambda_a^{-level}
-    mu^a at that interval (`ModelSpec.weights`); each insertion's slot is
-    found by bisection."""
-    weights = model.weights
-    vecs: Dict[int, np.ndarray] = {}
-    for x, a in zip(positions, labels):
-        k = P.index_of(x)
-        if k in vecs:
-            raise ValueError("partition does not support the insertions")
-        vecs[k] = weights[a, P[k].level]
-    return vecs
-
-
-def _occupied(P: DyadicPartition, vecs: Dict[int, np.ndarray]) -> List[Leaf]:
-    """The occupied leaves of P, left to right: (a, l, vec) for every slot
-    k holding `vecs[k]`, with P[k] = [a/2^l, (a+1)/2^l)."""
-    return [(*P[k], vecs[k]) for k in sorted(vecs)]
 
 
 def _weighted(leaves: Iterable[Tuple[int, int]], labels: Sequence[int],
@@ -215,12 +196,15 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
             raise ValueError("explicit partitions apply to the vacuum case only")
         return transformed_state_correlator(state, req, model)
     if partition is None:
-        return _evaluate(_weighted(vacuum_leaves(req.points), req.labels, model), model)
-    positions = req.positions()
-    if not is_refinement(minimal_supporting_partition(positions), partition):
-        raise ValueError("partition does not refine the minimal supporting partition")
-    return _evaluate(_occupied(partition, _label_vectors(partition, positions, req.labels,
-                                                         model)), model)
+        leaves = vacuum_leaves(req.points)
+    else:
+        # each interval of a refinement of the minimal supporting partition
+        # lies inside one of its intervals, which holds at most one point
+        positions = req.positions()
+        if not is_refinement(minimal_supporting_partition(positions), partition):
+            raise ValueError("partition does not refine the minimal supporting partition")
+        leaves = [partition[partition.index_of(x)] for x in positions]
+    return _evaluate(_weighted(leaves, req.labels, model), model)
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +411,8 @@ def transformed_state_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
     vacuum correlator on the pulled-back tree f^{-1}(Q), Q the common
     refinement of f's range partition and the insertions' minimal supporting
     partition (the coarsest such Q when f is reduced), read from one leaf
-    pair of f per insertion with no partition built.  `thompson.pulled_back`
-    builds Q and f^{-1}(Q) in full, as the reference."""
+    pair of f per insertion with no partition built; the reference,
+    `thompson.pullback_partition`, builds f^{-1}(Q) in full."""
     return _evaluate(_transformed_leaves(f, req, model), model)
 
 

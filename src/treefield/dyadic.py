@@ -3,9 +3,11 @@ partitions, nested tree documents, leaf pairs and the tree metric.
 
 A point is its reduced integer pair (p, q), 0 <= p < q (`CirclePoint`); a
 dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
-the coarse-graining distance read its level from q.  `CirclePoint.parse`
-reads an ASCII 'p/q' or a binary expansion with `int` calls and leaves every
-other spelling to `Fraction(str)` once a decimal exponent is sized.  A
+the coarse-graining distance read its level from q.  Text becomes a point
+through one reader, `read_point`, which reads an ASCII 'p/q' or a binary
+expansion with `int` calls and leaves every other spelling to
+`Fraction(str)` once a decimal exponent is sized; `CirclePoint(text)`, its
+alias `CirclePoint.parse` and `as_point` all read through it.  A
 standard interval is its integer pair (left numerator, level), the named
 tuple `StdInterval`, and a partition is the tuple of its leaves.  A finite
 binary tree is its dyadic partition: the leaves are the standard
@@ -18,7 +20,10 @@ recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
 affinely onto [b/2^m, (b+1)/2^m); one merge walk over two pair lists,
 `_compose_pairs`, composes Thompson elements, pulls a partition back
 through one, and gives the common refinement of two partitions as the
-domain of id_P o id_Q, all on integers.  This module owns the leaf
+domain of id_P o id_Q, all on integers.  The leaf that holds a point is
+found by one lookup, the bisection `leaf_index`, over intervals and leaf
+pairs alike: `DyadicPartition.index_of`, a Thompson element's domain
+pairs and the start of the merge walk.  This module owns the leaf
 geometry of points: `vacuum_leaves` reads each point's leaf of the minimal
 supporting partition from its first 64 binary digits (the correlators
 evaluate on those leaves), and `minimal_supporting_partition` fills each
@@ -64,48 +69,27 @@ T = TypeVar("T")
 class CirclePoint:
     """Exact rational point p/q in [0,1), stored as its reduced integer pair
     (p, q) with 0 <= p < q.  `CirclePoint(x)` takes a `Fraction`, an int or
-    a `Fraction` literal; `CirclePoint(p, q)` takes the pair itself."""
+    a text, read by `read_point`; `CirclePoint(p, q)` takes the pair itself."""
 
     p: int
     q: int
 
     def __init__(self, value: Union[Fraction, int, str],
                  denominator: Optional[int] = None):
-        if denominator is None:
-            v = value if isinstance(value, Fraction) else Fraction(value)
-            p, q = v.numerator, v.denominator
+        if denominator is not None:
+            p, q = _circle_pair(value, denominator)
+        elif isinstance(value, str):
+            p, q = read_point(value)
         else:
-            if denominator == 0:
-                raise ZeroDivisionError(f"CirclePoint({value}, 0)")
-            g = gcd(value, denominator)
-            p, q = value // g, denominator // g
-        if not 0 <= p < q:
-            try:
-                shown = str(Fraction(p, q))
-            except ValueError:  # past CPython's int/str digit limit
-                shown = f"a value of more than {sys.get_int_max_str_digits()} digits"
-            raise ValueError(f"{shown} is not in [0,1)")
+            v = value if isinstance(value, Fraction) else Fraction(value)
+            p, q = _circle_pair(v.numerator, v.denominator)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
     @staticmethod
     def parse(text: str) -> "CirclePoint":
-        """Accepts 'p/q', a binary expansion '0.b1b2...', or any other
-        `Fraction` literal (an integer, a decimal such as '0.25' or '3e-2').
-        A binary expansion and an ASCII 'p/q' are read with `int` calls;
-        every other spelling goes through `decimal_fraction`, which gives
-        the values and errors of `Fraction(str)` on any literal whose value
-        needs at most MAX_LITERAL_DIGITS digits."""
-        s = text.strip()
-        if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
-            return CirclePoint(int(s[2:], 2), 1 << (len(s) - 2))
-        p, slash, q = s.partition("/")
-        try:
-            if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
-                return CirclePoint(int(p), int(q))
-            return CirclePoint(decimal_fraction(s, f"point {text!r}"))
-        except ZeroDivisionError:
-            raise ValueError(f"point {text!r} has a zero denominator") from None
+        """`CirclePoint(text)`: the point `read_point` reads."""
+        return CirclePoint(text)
 
     @property
     def value(self) -> Fraction:
@@ -153,12 +137,43 @@ def decimal_fraction(s: str, what: str) -> Fraction:
     return Fraction(s)
 
 
+def _circle_pair(p: int, q: int) -> Tuple[int, int]:
+    """The reduced pair of p/q, refused unless p/q lies in [0,1)."""
+    if q == 0:
+        raise ZeroDivisionError(f"CirclePoint({p}, 0)")
+    if not 0 <= p < q:
+        try:
+            shown = str(Fraction(p, q))
+        except ValueError:  # past CPython's int/str digit limit
+            shown = f"a value of more than {sys.get_int_max_str_digits()} digits"
+        raise ValueError(f"{shown} is not in [0,1)")
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+def read_point(text: str) -> Tuple[int, int]:
+    """The reduced pair (p, q) of the point in [0,1) that `text` spells:
+    'p/q', a binary expansion '0.b1b2...', or any other `Fraction` literal
+    (an integer, a decimal such as '0.25' or '3e-2').  A binary expansion
+    and an ASCII 'p/q' are read with `int` calls; every other spelling goes
+    through `decimal_fraction`, which gives the values and errors of
+    `Fraction(str)` on any literal whose value needs at most
+    MAX_LITERAL_DIGITS digits."""
+    s = text.strip()
+    if s.startswith("0.") and set(s[2:]) <= {"0", "1"} and len(s) > 2:
+        return _circle_pair(int(s[2:], 2), 1 << (len(s) - 2))
+    p, slash, q = s.partition("/")
+    try:
+        if slash and p.isascii() and p.isdigit() and q.isascii() and q.isdigit():
+            return _circle_pair(int(p), int(q))
+        v = decimal_fraction(s, f"point {text!r}")
+        return _circle_pair(v.numerator, v.denominator)
+    except ZeroDivisionError:
+        raise ValueError(f"point {text!r} has a zero denominator") from None
+
+
 def as_point(x: PointLike) -> CirclePoint:
-    if isinstance(x, CirclePoint):
-        return x
-    if isinstance(x, str):
-        return CirclePoint.parse(x)
-    return CirclePoint(x)
+    return x if isinstance(x, CirclePoint) else CirclePoint(x)
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +295,9 @@ class DyadicPartition:
         return max(iv.level for iv in self.intervals)
 
     def index_of(self, x: PointLike) -> int:
-        """Slot of the interval holding x = p/q, by bisection on integers:
-        [a/2^l, ...) starts at or before p/q iff a q <= p 2^l."""
+        """Slot of the interval holding x (`leaf_index`)."""
         pt = as_point(x)
-        p, q = pt.p, pt.q
-        ivs = self.intervals
-        lo, hi = 0, len(ivs) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            a, l = ivs[mid]
-            if a * q <= p << l:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return leaf_index(self.intervals, pt.p, pt.q)
 
     def refine_at(self, index: int) -> "DyadicPartition":
         """Split interval `index` into its two halves."""
@@ -303,6 +307,22 @@ class DyadicPartition:
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(iv) for iv in self.intervals) + "}"
+
+
+def leaf_index(leaves: Sequence[Sequence[int]], p: int, q: int) -> int:
+    """Index of the leaf holding p/q among leaves that cover [0,1) in order:
+    the last one whose start a/2^l, (a, l) = (leaf[0], leaf[1]), is at or
+    before p/q, that is a q <= p 2^l (bisection on integers).  A leaf is
+    indexed, not unpacked, so `StdInterval`s and `LeafPair`s are read alike."""
+    lo, hi = 0, len(leaves) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        leaf = leaves[mid]
+        if leaf[0] * q <= p << leaf[1]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def check_leaf_cover(leaves: Sequence[Tuple[int, int]], cyclic: bool = False) -> int:
@@ -448,16 +468,9 @@ def identity_pairs(P: DyadicPartition) -> List[LeafPair]:
 
 def _compose_pairs(g: Sequence[LeafPair], h: Sequence[LeafPair]) -> List[LeafPair]:
     """Unreduced pairs of g o h in h's domain order, by one walk: h's images
-    run through g's domain cyclically from the piece found by bisection, and
+    run through g's domain cyclically from the piece found by `leaf_index`, and
     each either lies inside one g piece or is split over several."""
-    b0, m0 = h[0][2], h[0][3]
-    j, hi = 0, len(g) - 1
-    while j < hi:  # last g piece starting at or before h's first image
-        mid = (j + hi + 1) // 2
-        if g[mid][0] << m0 <= b0 << g[mid][1]:
-            j = mid
-        else:
-            hi = mid - 1
+    j = leaf_index(g, h[0][2], 1 << h[0][3])  # g's piece under h's first image
     n = len(g)
     out: List[LeafPair] = []
     for a, l, b, m in h:

@@ -22,8 +22,10 @@ tables are split into leaves by `dyadic.dyadic_blocks`, the block generator
 of the minimal supporting partition, and `Fraction` enters only where a
 table is read and checked; `dyadic` owns the leaf geometry.  Point
 evaluation, slopes and the Schwarzian measure read the pairs: a point p/q
-is located by bisection over the domain leaves, with no `Fraction`, and
-over the image leaves for the transformed correlator (`image_pair_at`).
+is located over the domain leaves by `dyadic.leaf_index`, the one leaf
+lookup, with no `Fraction`, and over the image leaves, which run
+cyclically, for the transformed correlator (`image_pair_at`).  Points are
+read by `dyadic.read_point`, through `as_point`.
 The transformed expectation and the vacuum-invariance check hand
 partitions to the `treestate` matrix references.
 """
@@ -41,7 +43,7 @@ from . import treestate
 from .dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition, LeafPair,
                      PointLike, StdInterval, as_point, check_leaf_cover,
                      check_regular_level, common_refinement, decimal_fraction,
-                     dyadic_blocks, identity_pairs, is_refinement,
+                     dyadic_blocks, identity_pairs, is_refinement, leaf_index,
                      nested_to_leaves, partition_to_nested, regular_partition,
                      _compose_pairs)
 from .spectral import Isometry3Box, eigendecompose, build_channel
@@ -97,25 +99,17 @@ class ThompsonElement:
                                 for a, l, b, m in self.pairs[k:] + self.pairs[:k]])
 
     def _pair_at(self, x: PointLike) -> LeafPair:
-        """The pair whose domain leaf holds x in [0,1): the last one whose
-        leaf starts at or before x = p/q, that is a q <= p 2^l (bisection)."""
+        """The pair whose domain leaf holds x in [0,1) (`dyadic.leaf_index`)."""
         x = as_point(x)
-        pairs = self.pairs
-        lo, hi = 0, len(pairs) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            a, l, _, _ = pairs[mid]
-            if a * x.q <= x.p << l:
-                lo = mid
-            else:
-                hi = mid - 1
-        return pairs[lo]
+        return self.pairs[leaf_index(self.pairs, x.p, x.q)]
 
     def image_pair_at(self, p: int, q: int) -> LeafPair:
         """The pair whose image leaf holds p/q in [0,1), the image-side twin
         of `_pair_at`: in image order, from the pair whose image starts at
         0, the last one whose image starts at or before p/q, that is
-        b q <= p 2^m (bisection)."""
+        b q <= p 2^m.  The images run cyclically from `first_image`, not
+        from the first pair, so this bisection is its own and not
+        `leaf_index`."""
         pairs = self.pairs
         n = len(pairs)
         k = self.first_image
@@ -456,14 +450,6 @@ def pullback_partition(f: ThompsonElement, Q: DyadicPartition
     return P, [(i - first) % n for i in range(n)]
 
 
-def pulled_back(f: ThompsonElement, Q: DyadicPartition, by_slot: Dict[int, np.ndarray]
-                ) -> Tuple[DyadicPartition, Dict[int, np.ndarray]]:
-    """P' = f^{-1}(Q), and `by_slot` (slot of Q -> value) moved to the
-    matching slots of P'."""
-    P, sigma = pullback_partition(f, Q)
-    return P, {i: by_slot[q] for i, q in enumerate(sigma) if q in by_slot}
-
-
 def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
                                          ops_by_slot: Dict[int, np.ndarray],
                                          V: Isometry3Box) -> np.ndarray:
@@ -473,7 +459,8 @@ def transformed_vacuum_expectation_batch(f: ThompsonElement, Q: DyadicPartition,
     P' = f^{-1}(Q); operators attach at the pulled-back slots, and the root
     closes with the normalised trace (the correlator functional).
     """
-    P, leaf_ops = pulled_back(f, Q, ops_by_slot)
+    P, sigma = pullback_partition(f, Q)
+    leaf_ops = {i: ops_by_slot[q] for i, q in enumerate(sigma) if q in ops_by_slot}
     return treestate.vacuum_expectation_batch(P, V, leaf_ops)
 
 

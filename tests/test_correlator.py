@@ -13,8 +13,7 @@ from test_dyadic import deep_partitions
 from treefield import thompson as th
 from treefield import treestate
 from treefield.correlator import (CorrelatorRequest, FieldInsertion,
-                                  _evaluate, _label_vectors, _occupied,
-                                  _transformed_leaves, ipow, n_point,
+                                  _evaluate, _transformed_leaves, ipow, n_point,
                                   ope_terms, regular_two_point,
                                   request_from_document, smeared_expectation,
                                   staircase_csv, staircase_samples,
@@ -416,7 +415,8 @@ def test_property_leaf_evaluator_matches_the_partition_fold(P, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = len(model.evaluation.closing)
     vecs = {k: rng.normal(size=n) + 1j * rng.normal(size=n) for k in sorted(slots)}
-    assert repr(_evaluate(_occupied(P, vecs), model)) == repr(fold_reference(P, vecs, model))
+    leaves = [(*P[k], vecs[k]) for k in sorted(vecs)]
+    assert repr(_evaluate(leaves, model)) == repr(fold_reference(P, vecs, model))
 
 
 @st.composite
@@ -884,10 +884,16 @@ def test_transformed_by_s_is_rotation(qutrit):
 def pulled_back_leaves(f, req, model):
     """The transformed path's occupied leaves as the partitions give them: Q,
     the common refinement of f's range partition and the minimal supporting
-    partition, its slot vectors, and the pulled-back partition f^{-1}(Q)."""
+    partition, its slot vectors, and the pulled-back partition f^{-1}(Q),
+    whose slot i maps onto slot sigma[i] of Q."""
     positions = req.positions()
     Q = common_refinement(f.range_partition(), minimal_supporting_partition(positions))
-    return _occupied(*th.pulled_back(f, Q, _label_vectors(Q, positions, req.labels, model)))
+    vecs = {}
+    for x, a in zip(positions, req.labels):
+        k = Q.index_of(x)
+        vecs[k] = model.weights[a, Q[k].level]
+    P, sigma = th.pullback_partition(f, Q)
+    return [(*P[i], vecs[k]) for i, k in enumerate(sigma) if k in vecs]
 
 
 def leaf_outcome(fn, *args):

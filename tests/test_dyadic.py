@@ -10,9 +10,10 @@ from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
                               StdInterval, TRIVIAL_PARTITION, as_point,
                               coarse_grain_distance, common_prefix_length,
                               common_refinement, fold_tree, is_refinement,
+                              identity_pairs, leaf_index,
                               minimal_supporting_partition, nested_to_leaves,
-                              partition_to_nested, regular_partition, supports,
-                              tree_metric, tree_metric_formula, xor_sub)
+                              partition_to_nested, read_point, regular_partition,
+                              supports, tree_metric, tree_metric_formula, xor_sub)
 
 
 def dy(a, l):
@@ -286,9 +287,10 @@ def test_decimal_literal_bound_is_a_million_digits():
     assert CirclePoint.parse("1e-999999").q == 10 ** 999999
     for text in ("1e-1000000", "0.1e-999999", "1e1000000", "1_0e999_999",
                  "1e" + "9" * 40):
-        with pytest.raises(ValueError, match=rf"^point '{text}' needs more "
-                                             r"than 1000000 digits$"):
-            CirclePoint.parse(text)
+        for read in (CirclePoint.parse, CirclePoint):
+            with pytest.raises(ValueError, match=rf"^point '{text}' needs more "
+                                                 r"than 1000000 digits$"):
+                read(text)
     assert CirclePoint.parse("0.0e-99999999") == CirclePoint(0)
 
 
@@ -396,6 +398,7 @@ def test_property_is_refinement_and_index_of(P, Q, xs):
     assert is_refinement(Q, P) == ref_is_refinement(Q, P)
     for x in xs:
         assert P.index_of(x) == ref_index_of(P, x)
+        assert leaf_index(identity_pairs(P), x.numerator, x.denominator) == ref_index_of(P, x)
 
 
 @st.composite
@@ -526,7 +529,8 @@ def ref_parse(text):
 
 def parse_outcome(parse, text):
     try:
-        v = parse(text).value
+        v = parse(text)
+        v = v.value if isinstance(v, CirclePoint) else v
         return type(v), v
     except ValueError as exc:
         return f"ValueError: {exc}"
@@ -567,7 +571,11 @@ OTHER_SPELLINGS = [
 @given(st.one_of(ratio_spellings(), long_spellings(), st.sampled_from(OTHER_SPELLINGS),
                  st.text(alphabet="0123456789/._+-eE ١²", max_size=8)))
 def test_property_point_parse_matches_fraction_parse(text):
-    assert parse_outcome(CirclePoint.parse, text) == parse_outcome(ref_parse, text)
+    # every reader of text gives the frozen reference's point or error
+    want = parse_outcome(ref_parse, text)
+    for read in (CirclePoint.parse, CirclePoint, as_point,
+                 lambda t: Fraction(*read_point(t))):
+        assert parse_outcome(read, text) == want
 
 
 @PROPS
