@@ -198,11 +198,11 @@ def n_point(req: CorrelatorRequest, model: ModelSpec,
     if partition is None:
         leaves = vacuum_leaves(req.points)
     else:
-        # each interval of a refinement of the minimal supporting partition
-        # lies inside one of its intervals, which holds at most one point
         positions = req.positions()
         if not is_refinement(minimal_supporting_partition(positions), partition):
             raise ValueError("partition does not refine the minimal supporting partition")
+        # each leaf of P lies inside an interval of the minimal supporting
+        # partition, which holds at most one point: no two points share a leaf
         leaves = [partition[partition.index_of(x)] for x in positions]
     return _evaluate(_weighted(leaves, req.labels, model), model)
 
