@@ -22,7 +22,7 @@ from . import treestate
 from .dyadic import DyadicPartition, minimal_supporting_partition
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      parse_document, resolve_model, to_document)
-from .spectral import scaling_dimension
+from .spectral import complex_array_to_lists, scaling_dimension
 
 
 def _fmt_c(z: complex) -> str:
@@ -63,9 +63,7 @@ def cmd_fusion(args) -> int:
         doc = {
             "model": model.name,
             "labels": list(f.labels),
-            "coefficients": [[[list(pair) for pair in row] for row in mat]
-                             for mat in np.stack([f.coefficients.real,
-                                                  f.coefficients.imag], axis=-1).tolist()],
+            "coefficients": complex_array_to_lists(f.coefficients),
             "n_tensor": ring.n_tensor.tolist(),
             "is_associative": ring.is_associative,
             "is_commutative": ring.is_commutative,
@@ -143,9 +141,9 @@ def _oracle_ops(P: DyadicPartition, req: co.CorrelatorRequest,
     lam = model.eigenvalues
     mus = model.spectral.right_ops
     ops = {}
-    for ins in req.insertions:
-        k = P.index_of(ins.position)
-        ops[k] = co.ipow(lam[ins.label], -P[k].level) * mus[ins.label]
+    for x, label in zip(req.positions(), req.labels):
+        k = P.index_of(x)
+        ops[k] = co.ipow(lam[label], -P[k].level) * mus[label]
     return ops
 
 

@@ -19,24 +19,25 @@ meet a complex logarithm branch.  The weighted insertion lambda_a^{-l} mu^a
 of a leaf of level l is taken once per model, label and level
 (`ModelSpec.weights`).  A request holds its points as reduced integer pairs
 (p, q) and its labels as indices, read through the model's table of names
-and aliases (`ModelSpec.insertion_labels`); it builds a `FieldInsertion`
-only for its `insertions` view; a document's points are read by the one
-point reader, `dyadic.read_point`.  `dyadic` owns the leaf geometry: the
-vacuum n-point evaluates on the points' leaves (`dyadic.vacuum_leaves`),
-and a Thompson-transformed correlator pulls each of those leaves, or the
-deeper image leaf of the state holding it, back through one leaf pair of
-the state.  Neither path builds a `Fraction`, an interval or a partition.
-On an explicit `partition=` each point's leaf is found by the one leaf
-lookup, `dyadic.leaf_index` (through `DyadicPartition.index_of`); every
-path weights its leaves with `_weighted`.  `Fraction` remains only in
-`smeared_expectation`.
+and aliases (`ModelSpec.insertion_labels`); no evaluator or command reads
+its `insertions` view of `FieldInsertion`s.  A document's points are read
+by the one point reader, `dyadic.read_point`.  `dyadic` owns the leaf
+geometry: the vacuum n-point evaluates on the points' leaves
+(`dyadic.vacuum_leaves`), and a Thompson-transformed correlator pulls each
+of those leaves, or the deeper image leaf of the state holding it, back
+through one leaf pair of the state.  Neither path builds a `Fraction`, an
+interval or a partition.  On an explicit `partition=` each point's leaf is
+found by the one leaf lookup, `dyadic.leaf_index` (through
+`DyadicPartition.index_of`); every path weights its leaves with
+`_weighted`.  No `Fraction` is built here: `smeared_expectation` measures
+its pieces in integer units of 2^-L, L the deepest level among the
+partition and the pieces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -55,6 +56,9 @@ from .spectral import scaling_dimension
 
 @dataclass(frozen=True)
 class FieldInsertion:
+    """One insertion of a request; kept for `perfbench/workloads.py`, whose
+    checks read `CorrelatorRequest.insertions`."""
+
     position: CirclePoint
     label: int
 
@@ -82,7 +86,8 @@ class CorrelatorRequest:
 
     @cached_property
     def insertions(self) -> Tuple[FieldInsertion, ...]:
-        """The request as `FieldInsertion`s, built on first read."""
+        """The request as `FieldInsertion`s, built on first read; kept for
+        `perfbench/workloads.py`, since nothing in the library reads it."""
         return tuple(map(FieldInsertion, self.positions(), self.labels))
 
     @staticmethod
@@ -307,13 +312,19 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
         raise ValueError("no isometry in model")
     for iv, _ in pieces:
         check_leaf(*iv)
-    cover = sorted(pieces, key=lambda t: t[0].left)
-    left = Fraction(0)
-    for iv, _ in cover:
-        if iv.left != left:
+    # interval ends in integer units of 2^-L, L the deepest level of P and the pieces
+    L = max(l for _, l in [*P, *(iv for iv, _ in pieces)])
+
+    def ends(a: int, l: int) -> Tuple[int, int]:
+        return a << (L - l), (a + 1) << (L - l)
+
+    cover = sorted([(*ends(*iv), M) for iv, M in pieces], key=lambda t: t[0])
+    end = 0
+    for start, stop, _ in cover:
+        if start != end:
             raise ValueError("non-dyadic piece boundaries or gaps in the pieces")
-        left = iv.right
-    if left != 1:
+        end = stop
+    if end != 1 << L:
         raise ValueError("pieces must cover [0,1)")
 
     lam = model.eigenvalues
@@ -322,18 +333,20 @@ def smeared_expectation(pieces: Sequence[Tuple[StdInterval, np.ndarray]],
 
     # one merge walk over P and the sorted pieces: expanded[j] is the first
     # piece reaching into iv, and it stays current while it reaches past iv
-    expanded = [(piece_iv, S.expand(M)) for piece_iv, M in cover]
+    expanded = [(start, stop, S.expand(M)) for start, stop, M in cover]
     leaves: List[np.ndarray] = []
     j = 0
     for iv in P:
+        start, stop = ends(*iv)
         fbar = np.zeros(S.n, dtype=complex)  # f-bar coefficients of iv
         while True:
-            piece_iv, c = expanded[j]
-            fbar += float(min(iv.right, piece_iv.right) - max(iv.left, piece_iv.left)) * c
-            if piece_iv.right > iv.right:
+            piece_start, piece_stop, c = expanded[j]
+            # int / int rounds once, as float(Fraction) does
+            fbar += (min(stop, piece_stop) - max(start, piece_start)) / (1 << L) * c
+            if piece_stop > stop:
                 break
             j += 1
-            if piece_iv.right == iv.right:
+            if piece_stop == stop:
                 break
         vec = np.array([0.0 if zero[a] else fbar[a] * ipow(lam[a], -iv.level)
                         for a in range(S.n)], dtype=complex)

@@ -6,17 +6,16 @@ dyadic point a/2^l has q = 2^l, so the tree metric, the XOR difference and
 the coarse-graining distance read its level from q.  Text becomes a point
 through one reader, `read_point`, which reads an ASCII 'p/q' or a binary
 expansion with `int` calls and leaves every other spelling to
-`Fraction(str)` once a decimal exponent is sized; `CirclePoint(text)`, its
-alias `CirclePoint.parse` and `as_point` all read through it.  A
-standard interval is its integer pair (left numerator, level), the named
-tuple `StdInterval`, and a partition is the tuple of its leaves.  A finite
-binary tree is its dyadic partition: the leaves are the standard
-intervals, a left child the left half of its parent, so no tree object is
-built.  Partition checks and `fold_tree`, one stack pass folding a
-partition's tree, run on those integers.  Nested documents (0 a leaf,
-[left, right] a caret) are written by that fold and read by one
-explicit-stack pass straight to (a, l) leaves, so no function here
-recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
+`Fraction(str)` once a decimal exponent is sized; `CirclePoint(text)` and
+`as_point` read through it.  A standard interval is its integer pair
+(left numerator, level), the named tuple `StdInterval`, and a partition is
+the tuple of its leaves.  A finite binary tree is its dyadic partition: the
+leaves are the standard intervals, a left child the left half of its
+parent, so no tree object is built.  Partition checks and `fold_tree`,
+one stack pass folding a partition's tree, run on those integers.  Nested
+documents (0 a leaf, [left, right] a caret) are written by that fold and
+read by one explicit-stack pass straight to (a, l) leaves, so no function
+here recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
 affinely onto [b/2^m, (b+1)/2^m); one merge walk over two pair lists,
 `_compose_pairs`, composes Thompson elements, pulls a partition back
 through one, and gives the common refinement of two partitions as the
@@ -29,10 +28,10 @@ supporting partition from its first 64 binary digits (the correlators
 evaluate on those leaves), and `minimal_supporting_partition` fills each
 gap between them with the maximal standard intervals of `dyadic_blocks`,
 which also splits `{"pieces"}` tables into leaves.  Points compare by
-cross-multiplication.  `Fraction` remains only in `is_refinement`,
-`correlator.smeared_expectation` and at the API edges: reading a
-`Fraction`, an int or a decimal into a `CirclePoint`, `CirclePoint.value`
-and `StdInterval.left` and `.right`.
+cross-multiplication.  `Fraction` remains only in `is_refinement`, in
+`StdInterval.left` and `.right`, and at the API edges: reading a
+`Fraction`, an int or a decimal into a `CirclePoint`, and
+`CirclePoint.value`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
 """
@@ -77,6 +76,8 @@ class CirclePoint:
     def __init__(self, value: Union[Fraction, int, str],
                  denominator: Optional[int] = None):
         if denominator is not None:
+            if denominator < 0:
+                value, denominator = -value, -denominator
             p, q = _circle_pair(value, denominator)
         elif isinstance(value, str):
             p, q = read_point(value)
@@ -85,11 +86,6 @@ class CirclePoint:
             p, q = _circle_pair(v.numerator, v.denominator)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-
-    @staticmethod
-    def parse(text: str) -> "CirclePoint":
-        """`CirclePoint(text)`: the point `read_point` reads."""
-        return CirclePoint(text)
 
     @property
     def value(self) -> Fraction:
@@ -259,10 +255,6 @@ class StdInterval(NamedTuple):
     def right(self) -> Fraction:
         return Fraction(self.left_numerator + 1, 1 << self.level)
 
-    def halves(self) -> Tuple["StdInterval", "StdInterval"]:
-        a, l = self
-        return StdInterval(2 * a, l + 1), StdInterval(2 * a + 1, l + 1)
-
     def __str__(self) -> str:
         return f"{self.left_numerator}/{1 << self.level}"
 
@@ -291,19 +283,10 @@ class DyadicPartition:
     def __getitem__(self, i) -> StdInterval:
         return self.intervals[i]
 
-    def max_level(self) -> int:
-        return max(iv.level for iv in self.intervals)
-
     def index_of(self, x: PointLike) -> int:
         """Slot of the interval holding x (`leaf_index`)."""
         pt = as_point(x)
         return leaf_index(self.intervals, pt.p, pt.q)
-
-    def refine_at(self, index: int) -> "DyadicPartition":
-        """Split interval `index` into its two halves."""
-        iv = self.intervals[index]
-        lo, hi = iv.halves()
-        return DyadicPartition(self.intervals[:index] + (lo, hi) + self.intervals[index + 1:])
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(iv) for iv in self.intervals) + "}"
@@ -366,9 +349,6 @@ def check_leaf(a: int, l: int) -> None:
         raise ValueError(f"[{a}/2^{l}, ...) has a negative level")
     if not 0 <= a < 1 << l:
         raise ValueError(f"[{a}/2^{l}, ...) is not inside [0,1)")
-
-
-TRIVIAL_PARTITION = DyadicPartition((StdInterval(0, 0),))
 
 
 def check_regular_level(level: int, what: str = "level") -> None:
@@ -507,11 +487,6 @@ def check_point_order(pts: Sequence[Tuple[int, int]]) -> None:
     for (p, q), (r, s) in zip(pts, pts[1:]):
         if p * s >= r * q:
             raise ValueError("coincident insertions" if p * s == r * q else "unordered tuple")
-
-
-def supports(P: DyadicPartition, points: Sequence[PointLike]) -> bool:
-    idx = [P.index_of(p) for p in points]
-    return len(set(idx)) == len(idx)
 
 
 def vacuum_leaves(points: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int]]:

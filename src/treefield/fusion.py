@@ -78,16 +78,14 @@ def star_product(a: np.ndarray, b: np.ndarray, f: FusionTensor) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FusionRing:
-    """0/1 tensor N^{ab}_g, read as the integer matrices [N^a]_{bg}, and flags."""
+    """0/1 tensor N^{ab}_g, whose slice `n_tensor[a]` is the integer matrix
+    [N^a]_{bg}, and flags."""
 
     labels: Tuple[str, ...]
     n_tensor: np.ndarray           # (n, n, n) ints in {0, 1}
     is_associative: bool           # over the boolean semiring on N
     is_commutative: bool
     star_associative: bool         # diagnostic: complex-coefficient algebra
-
-    def matrix(self, a: int) -> np.ndarray:
-        return self.n_tensor[a]
 
 
 def build_ring(f: FusionTensor) -> FusionRing:

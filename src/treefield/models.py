@@ -364,14 +364,6 @@ def check_rotation(V: Isometry3Box) -> bool:
     return bool(np.linalg.norm(T - np.transpose(T, (2, 0, 1))) <= TOL_ROTATION)
 
 
-def degenerate_isometry(d: int = 3) -> Isometry3Box:
-    """V|l> = |l>|0>: a valid isometry that is not planar perfect."""
-    m = np.zeros((d * d, d), dtype=complex)
-    for l in range(d):
-        m[d * l + 0, l] = 1.0
-    return Isometry3Box(m)
-
-
 # ---------------------------------------------------------------------------
 # model documents
 

@@ -78,14 +78,6 @@ def build_channel(V: Isometry3Box) -> AscendingChannel:
     return AscendingChannel(d, rep)
 
 
-def mirror_channel(V: Isometry3Box) -> AscendingChannel:
-    """E'(Y) = V^dag (I (x) Y) V; equals E for SWAP-symmetric V."""
-    T = V.tensor
-    d = V.d
-    rep = np.einsum("bal,bcm->lmac", T.conj(), T).reshape(d * d, d * d)
-    return AscendingChannel(d, rep)
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Eigenvalues with right eigen-operators mu and biorthonormal duals nu.
@@ -108,9 +100,6 @@ class SpectralData:
         """Coefficients c with M = sum_a c_a mu^a."""
         M = np.asarray(M, dtype=complex)
         return np.einsum("alm,lm->a", self.left_ops.conj(), M) / self.dimension
-
-    def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.einsum("a,alm->lm", np.asarray(coeffs, dtype=complex), self.right_ops)
 
     def moments(self) -> np.ndarray:
         """Vacuum one-point values (1/d) tr(mu^a) on the trivial partition."""

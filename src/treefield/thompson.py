@@ -170,10 +170,6 @@ def reduce(e: ThompsonElement) -> ThompsonElement:
     return e if reduced is e.pairs else ThompsonElement(reduced)
 
 
-def equal(g: ThompsonElement, h: ThompsonElement) -> bool:
-    return reduce(g) == reduce(h)
-
-
 def compose(g: ThompsonElement, h: ThompsonElement) -> ThompsonElement:
     """Group product g.h = g o h (h acts first), returned reduced."""
     return ThompsonElement(_cancel(_compose_pairs(g.pairs, h.pairs)))

@@ -55,6 +55,7 @@ from typing import List, Tuple
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))  # the tests' helper module
 CORPUS = HERE / "cli.jsonl"
 OPS_CORPUS = HERE / "ops.jsonl"
 # argparse wraps its usage lines to the terminal width
@@ -77,7 +78,8 @@ def run_command(argv: List[str]) -> Tuple[str, str, int]:
 
 def input_files() -> dict:
     """File name -> JSON document, for the commands that read files."""
-    from treefield.models import degenerate_isometry, preset, to_document
+    from helpers import degenerate_isometry
+    from treefield.models import preset, to_document
     from treefield.spectral import complex_array_to_lists
 
     abstract = to_document(preset("fibonacci"))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import refine_at
 from test_dyadic import deep_partitions
 from treefield import thompson as th
 from treefield import treestate
@@ -45,7 +46,7 @@ def swap_model(seed, d=2):
 
 
 def frac(s):
-    return CirclePoint.parse(s)
+    return CirclePoint(s)
 
 
 def generic_model(seed, d=2):
@@ -158,7 +159,7 @@ def test_three_point_example_stability_and_oracle(qutrit):
     for _ in range(5):
         Q = P
         for _ in range(int(rng.integers(1, 5))):
-            Q = Q.refine_at(int(rng.integers(0, len(Q))))
+            Q = refine_at(Q, int(rng.integers(0, len(Q))))
         assert abs(n_point(req, qutrit, partition=Q) - base) < 1e-12
 
 
@@ -268,7 +269,7 @@ def test_refinement_stability_random_requests(qutrit):
         for _ in range(10):
             Q = P
             for _ in range(int(rng.integers(1, 4))):
-                Q = Q.refine_at(int(rng.integers(0, len(Q))))
+                Q = refine_at(Q, int(rng.integers(0, len(Q))))
             assert abs(n_point(req, qutrit, partition=Q) - base) <= 1e-12
 
 
@@ -500,7 +501,7 @@ def test_refined_partitions_read_the_table_like_the_ipow_fold():
                 k = P.index_of(req.insertions[0].position)
                 if P[k].level == MAX_LEVEL:
                     break
-                P = P.refine_at(k)
+                P = refine_at(P, k)
 
 
 def test_library_set_up_leaves_the_weight_table_empty(monkeypatch):
@@ -539,8 +540,8 @@ def test_vacuum_n_point_from_text_builds_no_fraction(qutrit, monkeypatch):
         def __new__(cls, *args):
             raise AssertionError("Fraction built on the vacuum n-point path")
 
-    for module in (treefield.dyadic, treefield.correlator):
-        monkeypatch.setattr(module, "Fraction", NoFraction)
+    assert not hasattr(treefield.correlator, "Fraction")  # none to build
+    monkeypatch.setattr(treefield.dyadic, "Fraction", NoFraction)
     assert repr(n_point(request_from_document(doc, qutrit), qutrit)) == repr(want)
 
 

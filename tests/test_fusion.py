@@ -110,11 +110,11 @@ def test_star_product_basis_and_bilinearity(qutrit):
 def test_fibonacci_ring():
     fib = preset("fibonacci")
     ring = fib.ring
-    assert np.array_equal(ring.matrix(0), np.eye(2, dtype=int))
-    assert np.array_equal(ring.matrix(1), np.array([[0, 1], [1, 1]]))
+    assert np.array_equal(ring.n_tensor[0], np.eye(2, dtype=int))
+    assert np.array_equal(ring.n_tensor[1], np.array([[0, 1], [1, 1]]))
     # tau x tau = 1 + tau over the integers
-    n_tau = ring.matrix(1)
-    assert np.array_equal(n_tau @ n_tau, ring.matrix(0) + n_tau)
+    n_tau = ring.n_tensor[1]
+    assert np.array_equal(n_tau @ n_tau, ring.n_tensor[0] + n_tau)
     assert ring.is_associative and ring.is_commutative
 
 

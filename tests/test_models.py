@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import degenerate_isometry
 from treefield.models import (check_perfect, check_rotation, check_swap,
-                              degenerate_isometry, load_model, parse_document,
-                              preset, resolve_model, to_document)
+                              load_model, parse_document, preset,
+                              resolve_model, to_document)
 from treefield.spectral import Isometry3Box
 from treefield.thompson import generator, vacuum_invariance_check
 

@@ -6,8 +6,8 @@ import pytest
 
 from treefield.models import preset, qutrit_isometry
 from treefield.spectral import (AscendingChannel, Isometry3Box, build_channel,
-                                eigendecompose, mirror_channel,
-                                scaling_dimension, spectral_radius_check)
+                                eigendecompose, scaling_dimension,
+                                spectral_radius_check)
 
 
 def random_isometry(d, seed):
@@ -88,7 +88,7 @@ def test_completeness_and_expand():
     for _ in range(100):
         M = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         c = S.expand(M)
-        assert np.linalg.norm(S.reconstruct(c) - M) < 1e-10
+        assert np.linalg.norm(np.einsum("a,alm->lm", c, S.right_ops) - M) < 1e-10
     # basis cases
     c = S.expand(np.eye(3))
     assert abs(c[0] - 1) < 1e-12 and np.max(np.abs(c[1:])) < 1e-12
@@ -169,6 +169,14 @@ def test_spectral_radius_bound():
     for seed in range(20):
         V = random_isometry(3, seed + 100)
         assert spectral_radius_check(build_channel(V)).ok
+
+
+def mirror_channel(V: Isometry3Box) -> AscendingChannel:
+    """E'(Y) = V^dag (I (x) Y) V; equals E for SWAP-symmetric V."""
+    T = V.tensor
+    d = V.d
+    rep = np.einsum("bal,bcm->lmac", T.conj(), T).reshape(d * d, d * d)
+    return AscendingChannel(d, rep)
 
 
 def test_mirror_channel_swap_symmetric():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from treefield.dyadic import (TRIVIAL_PARTITION, DyadicPartition, StdInterval,
-                              fold_tree, nested_to_leaves, regular_partition)
+from helpers import refine_at
+from treefield.dyadic import (DyadicPartition, StdInterval, fold_tree,
+                              nested_to_leaves, regular_partition)
 from treefield.models import preset
 from treefield.spectral import Isometry3Box, build_channel, eigendecompose
 from treefield.treestate import (LabelledTree, apply_leaf_ops, isometry_matrix,
@@ -33,9 +34,9 @@ def tree(doc):
 
 
 def random_partition(rng, n_leaves):
-    P = TRIVIAL_PARTITION
+    P = regular_partition(0)
     for _ in range(n_leaves - 1):
-        P = P.refine_at(int(rng.integers(0, len(P))))
+        P = refine_at(P, int(rng.integers(0, len(P))))
     return P
 
 
@@ -159,7 +160,7 @@ def test_forest_conjugation_invariance_of_weighted_insertions():
     for _ in range(50):
         P = regular_partition(1)
         for _ in range(int(rng.integers(0, 4))):
-            P = P.refine_at(int(rng.integers(0, len(P))))
+            P = refine_at(P, int(rng.integers(0, len(P))))
         k = int(rng.integers(0, len(P)))
         a = int(rng.integers(0, 4))
         lam, mu = S.eigenvalues[a], S.right_ops[a]
@@ -167,7 +168,7 @@ def test_forest_conjugation_invariance_of_weighted_insertions():
             continue
         op = lam ** (-P[k].level) * mu
         base = vacuum_expectation(LabelledTree(P, {k: op}), V)
-        Q = P.refine_at(k)  # split the insertion leaf; the op descends left
+        Q = refine_at(P, k)  # split the insertion leaf; the op descends left
         op2 = lam ** (-Q[k].level) * mu
         refined = vacuum_expectation(LabelledTree(Q, {k: op2}), V)
         assert abs(base - refined) < 1e-10
