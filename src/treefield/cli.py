@@ -19,7 +19,7 @@ import numpy as np
 from . import correlator as co
 from . import thompson as th
 from . import treestate
-from .dyadic import DyadicPartition, minimal_supporting_partition
+from .dyadic import DyadicPartition, leaf_index, minimal_supporting_partition
 from .models import (ModelSpec, check_perfect, check_rotation, check_swap,
                      parse_document, resolve_model, to_document)
 from .spectral import complex_array_to_lists, scaling_dimension
@@ -141,8 +141,8 @@ def _oracle_ops(P: DyadicPartition, req: co.CorrelatorRequest,
     lam = model.eigenvalues
     mus = model.spectral.right_ops
     ops = {}
-    for x, label in zip(req.positions(), req.labels):
-        k = P.index_of(x)
+    for (p, q), label in zip(req.points, req.labels):
+        k = leaf_index(P.intervals, p, q)
         ops[k] = co.ipow(lam[label], -P[k].level) * mus[label]
     return ops
 

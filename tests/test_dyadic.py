@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treefield import treestate
 from helpers import halves, refine_at, supports
+from treefield import treestate
 from treefield.dyadic import (MAX_LEVEL, CirclePoint, DyadicPartition,
-                              StdInterval, as_point,
-                              coarse_grain_distance, common_prefix_length,
-                              common_refinement, fold_tree, is_refinement,
-                              identity_pairs, leaf_index,
-                              minimal_supporting_partition, nested_to_leaves,
-                              partition_to_nested, read_point, regular_partition,
-                              tree_metric, tree_metric_formula, xor_sub)
+                              StdInterval, as_point, coarse_grain_distance,
+                              common_prefix_length, common_refinement,
+                              fold_tree, identity_pairs, is_refinement,
+                              leaf_index, minimal_supporting_partition,
+                              nested_to_leaves, partition_to_nested,
+                              read_point, regular_partition, tree_metric,
+                              tree_metric_formula, xor_sub)
 
 
 def dy(a, l):
