@@ -25,7 +25,12 @@ that is too deep and before one; `thompson compose` and `reduce` commands
 on the same words close the CLI corpus.  A fifth block, with no seed,
 spells points every way a request document may: binary expansions,
 decimals and exponents, padded, unreduced and non-ASCII ratios, refused
-spellings, and JSON numbers and booleans.  No input above a block moves.
+spellings, and JSON numbers and booleans.  A sixth block, the spectral
+one, decomposes channels: `eigendecompose` on the channels of the
+degenerate isometry, of the qutrit isometry (its unpinned eigenbasis) and
+of seeded random isometries at d = 2, 3 and 4, and `abstract_eigenvalues`
+on seeded label-space channel matrices, with the isometry or matrix written
+into the input.  No input above a block moves.
 
 Each file starts with a header line that records the Python and numpy
 versions the outputs were made with.  `tests/test_corpus.py` replays each
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -302,6 +308,7 @@ OPS_SEED = 1
 SPELLINGS_SEED = 2
 LABELS_SEED = 3
 RUNS_SEED = 4
+SPECTRAL_SEED = 5
 SPELLINGS = ("", "⁻¹", "^-1", "-1")
 DELTA_LABELS = ("d1", "d2")
 PAIR_LABELS = ("b1", "b2", "b3", "a1", "a2", "a3")
@@ -395,7 +402,7 @@ def ops() -> List[Tuple[str, dict]]:
     for bad in ("D", "A^-1-1", "A⁻¹^-1"):
         out.append(("npoint", {"positions": _points(rng, 2), "labels": ["d1", "d2"],
                                "state": {"word": f"A {bad} B"}}))
-    return out + label_ops() + deep_word_ops() + point_ops()
+    return out + label_ops() + deep_word_ops() + point_ops() + spectral_ops()
 
 
 def label_ops() -> List[Tuple[str, dict]]:
@@ -503,18 +510,61 @@ def point_ops() -> List[Tuple[str, dict]]:
     return out
 
 
+def spectral_ops() -> List[Tuple[str, dict]]:
+    """The spectral block: the isometries of `eigendecompose` (the degenerate
+    one, the qutrit's and two random ones, `helpers.random_isometry`, at each
+    d = 2, 3, 4), then label-space channel matrices for `abstract_eigenvalues`
+    drawn from `SPECTRAL_SEED`: a unit column e_0 beside random real or
+    complex columns, a spectrum with ties in modulus, and one with no unit
+    eigenvalue."""
+    from helpers import degenerate_isometry, random_isometry
+    from treefield.models import qutrit_isometry
+    from treefield.spectral import complex_array_to_lists
+
+    isometries = [degenerate_isometry(3), qutrit_isometry()]
+    isometries += [random_isometry(d, seed) for d in (2, 3, 4) for seed in (0, 1)]
+    out = [("eigendecompose", {"isometry": complex_array_to_lists(V.matrix)})
+           for V in isometries]
+    rng = random.Random(f"spectral/{SPECTRAL_SEED}")
+    matrices = []
+    for n, cplx in ((2, False), (3, False), (4, False), (4, True), (5, False), (5, True)):
+        m = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1) if cplx else 0.0)
+              for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][0] = complex(i == 0)
+        matrices.append(m)
+    matrices.append(np.diag([1, 0.5, -0.5, 0.5j, -0.5j, 0.25]))
+    matrices.append([[0.5, 0.25], [0.0, -0.75]])
+    out += [("abstract_eigenvalues", {"channel": complex_array_to_lists(m)}) for m in matrices]
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def qutrit():
     from treefield.models import preset
     return preset("qutrit")
 
 
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
 def run_op(op: str, item: dict) -> str:
-    """repr of the op's output on the qutrit, or its error text."""
-    from treefield import correlator
+    """repr of the op's output on the qutrit, or its error text.  A
+    decomposition gives the repr of its eigenvalues and the sha256 of the
+    bytes of its mu and nu."""
+    from treefield import correlator, spectral
 
     model = qutrit()
     try:
+        if op == "eigendecompose":
+            S = spectral.eigendecompose(spectral.build_channel(spectral.Isometry3Box(
+                spectral.complex_array_from_lists(item["isometry"]))))
+            return (f"eigenvalues {S.eigenvalues.tolist()!r} mu {_sha256(S.right_ops)} "
+                    f"nu {_sha256(S.left_ops)}")
+        if op == "abstract_eigenvalues":
+            return repr(spectral.abstract_eigenvalues(
+                spectral.complex_array_from_lists(item["channel"])).tolist())
         with np.errstate(over="ignore", invalid="ignore"):  # the n = 256 requests overflow
             if op == "staircase":
                 return repr(tuple(correlator.staircase_samples(

@@ -1,9 +1,10 @@
 """Test fixtures and references that no path of `treefield` needs:
 `supports`, the independent check that a partition holds at most one point
 per interval (the reference for minimal-partition minimality), `refine_at`
-and `halves`, which grow a partition one split at a time, and
-`degenerate_isometry`, a valid isometry that is not planar perfect (also
-written into the CLI corpus by `corpus/make_corpus.py`)."""
+and `halves`, which grow a partition one split at a time,
+`degenerate_isometry`, a valid isometry that is not planar perfect, and
+`random_isometry`, a seeded random one (both also written into the corpora
+by `corpus/make_corpus.py`)."""
 
 from __future__ import annotations
 
@@ -37,3 +38,11 @@ def degenerate_isometry(d: int = 3) -> Isometry3Box:
     for l in range(d):
         m[d * l + 0, l] = 1.0
     return Isometry3Box(m)
+
+
+def random_isometry(d: int, seed: int) -> Isometry3Box:
+    """The Q factor of a seeded complex Gaussian d^2 x d matrix."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+    Q, _ = np.linalg.qr(X)
+    return Isometry3Box(Q)

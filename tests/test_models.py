@@ -6,19 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import degenerate_isometry
+from helpers import degenerate_isometry, random_isometry
 from treefield.models import (check_perfect, check_rotation, check_swap,
                               load_model, parse_document, preset,
                               resolve_model, to_document)
 from treefield.spectral import Isometry3Box
 from treefield.thompson import generator, vacuum_invariance_check
-
-
-def random_isometry(d, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
-    Q, _ = np.linalg.qr(X)
-    return Isometry3Box(Q)
 
 
 def test_preset_names():

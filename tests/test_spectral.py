@@ -4,17 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import random_isometry
 from treefield.models import preset, qutrit_isometry
 from treefield.spectral import (AscendingChannel, Isometry3Box, build_channel,
                                 eigendecompose, scaling_dimension,
                                 spectral_radius_check)
-
-
-def random_isometry(d, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
-    Q, _ = np.linalg.qr(X)
-    return Isometry3Box(Q)
 
 
 def test_isometry_validation():

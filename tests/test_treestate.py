@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import refine_at
+from helpers import random_isometry, refine_at
 from treefield.dyadic import (DyadicPartition, StdInterval, fold_tree,
                               nested_to_leaves, regular_partition)
 from treefield.models import preset
@@ -10,13 +10,6 @@ from treefield.treestate import (LabelledTree, apply_leaf_ops, isometry_matrix,
                                  oracle_expectation,
                                  pair_vacuum_expectation_batch,
                                  vacuum_expectation)
-
-
-def random_isometry(d, seed):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
-    Q, _ = np.linalg.qr(X)
-    return Isometry3Box(Q)
 
 
 def random_swap_isometry(d, seed):
