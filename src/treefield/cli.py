@@ -88,12 +88,12 @@ def cmd_ope(args) -> int:
     model = _model(args)
     terms = co.ope_terms(args.alpha, args.beta, model)
     if args.json:
-        doc = [{"label": model.label_name(g), "coefficient": [c.real, c.imag],
+        doc = [{"label": model.labels[g], "coefficient": [c.real, c.imag],
                 "exponent": e} for g, c, e in terms]
         print(json.dumps(doc, sort_keys=True))
         return 0
     for g, c, e in terms:
-        print(f"{model.label_name(g):<5}  coeff {_fmt_c(c):<28}  D-exponent {e:.12g}")
+        print(f"{model.labels[g]:<5}  coeff {_fmt_c(c):<28}  D-exponent {e:.12g}")
     return 0
 
 

@@ -446,9 +446,6 @@ def transformed_correlator(f: th.ThompsonElement, req: CorrelatorRequest,
         xj = inv(x)
         factor *= ipow(lam[a], th.slope_right(e, xj))
         pulled.append((xj, a))
-    pulled.sort(key=lambda t: t[0])
-    for (x1, _), (x2, _) in zip(pulled, pulled[1:]):
-        if x1 == x2:
-            raise ValueError("coincident insertions after pullback")
+    pulled.sort(key=lambda t: t[0])  # distinct: the points are, and f^-1 is a bijection
     base = CorrelatorRequest(tuple((x.p, x.q) for x, _ in pulled), tuple(a for _, a in pulled))
     return complex(factor * n_point(base, model))

@@ -215,20 +215,16 @@ def tree_metric_formula(x: CirclePoint, y: CirclePoint, level: int) -> int:
 
 
 def common_prefix_length(x: PointLike, y: PointLike) -> int:
+    """Length of the common prefix of the binary expansions of two distinct
+    points (a dyadic point's expansion ends in 0s), by one long division:
+    with k = bit_length(q s), p/q and r/s differ by at least 1/(q s) > 2^-k,
+    so their first k digits X = floor(2^k p/q) and Y differ, and the prefix
+    is k - bit_length(X xor Y)."""
     px, py = as_point(x), as_point(y)
     if px == py:
         raise ValueError("coincident points")
-    # remainders a/q, b/s; the next digit is 1 iff twice the remainder is >= 1
-    a, q, b, s = px.p, px.q, py.p, py.q
-    l = 0
-    while True:
-        a, b = 2 * a, 2 * b
-        bit = a >= q
-        if bit != (b >= s):
-            return l
-        if bit:
-            a, b = a - q, b - s
-        l += 1
+    k = (px.q * py.q).bit_length()
+    return k - (((px.p << k) // px.q) ^ ((py.p << k) // py.q)).bit_length()
 
 
 def coarse_grain_distance(x: PointLike, y: PointLike) -> CirclePoint:
@@ -393,9 +389,7 @@ def fold_tree(P: DyadicPartition, leaf: Callable[[int], T],
             a >>= 1
             l -= 1
         stack.append((a, l, value))
-    if len(stack) != 1 or stack[0][1] != 0:
-        raise ValueError("interval sequence is not a dyadic tree cover")
-    return stack[0][2]
+    return stack[0][2]  # P covers [0,1), so [0,1) itself is left, alone
 
 
 def partition_to_tree(P: DyadicPartition) -> DyadicPartition:

@@ -85,7 +85,6 @@ class FusionRing:
     n_tensor: np.ndarray           # (n, n, n) ints in {0, 1}
     is_associative: bool           # over the boolean semiring on N
     is_commutative: bool
-    star_associative: bool         # diagnostic: complex-coefficient algebra
 
 
 def build_ring(f: FusionTensor) -> FusionRing:
@@ -95,10 +94,7 @@ def build_ring(f: FusionTensor) -> FusionRing:
     right = np.einsum("bgd,ade->abge", N, N)  # a*(b*g)
     assoc = bool(np.array_equal(left > 0, right > 0))
     comm = bool(np.array_equal(N, N.transpose(1, 0, 2)))
-    cleft = np.einsum("abd,dge->abge", f.coefficients, f.coefficients)
-    cright = np.einsum("bgd,ade->abge", f.coefficients, f.coefficients)
-    star_assoc = bool(np.allclose(cleft, cright, atol=max(f.tol, 1e-9)))
-    return FusionRing(f.labels, N, assoc, comm, star_assoc)
+    return FusionRing(f.labels, N, assoc, comm)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 model, user-supplied model documents, and perfect/SWAP/rotation checkers.
 A model also keeps the weighted insertions lambda_a^{-l} mu^a its
 correlators read, one per label and leaf level (`ModelSpec.weights`), and
-one table of its label names and aliases that requests read their labels
-through (`ModelSpec.label_table`)."""
+one table of the names and aliases of its insertable labels that requests
+read their labels through (`ModelSpec.label_table`)."""
 
 from __future__ import annotations
 
@@ -172,13 +172,16 @@ class ModelSpec:
 
     @cached_property
     def label_table(self) -> Dict[str, int]:
-        """`label_index` of every label name and alias, spelled exactly as
-        given and with no surrounding whitespace."""
+        """`label_index` of every label name and alias of a label that may
+        be inserted (`insertion_label`), spelled exactly as given and with
+        no surrounding whitespace: a label of zero weight is left out."""
         table = {}
         for key in (*self.labels, *self.aliases):
             name = self.aliases.get(key, key)
             if key == key.strip() and name in self.labels:
-                table[key] = self.labels.index(name)
+                idx = self.labels.index(name)
+                if not self.zero_weight[idx]:
+                    table[key] = idx
         return table
 
     def insertion_label(self, label) -> int:
@@ -190,22 +193,15 @@ class ModelSpec:
         return idx
 
     def insertion_labels(self, labels: Sequence) -> Tuple[int, ...]:
-        """`insertion_label` of each label, in order.  Names and aliases are
-        read from `label_table` in one pass; any other spelling, or a label
-        of zero weight, sends every label through `insertion_label`, so the
-        first bad label raises its own error."""
+        """`insertion_label` of each label, in order.  Insertable names and
+        aliases are read from `label_table` in one pass; any other spelling,
+        or a label of zero weight, sends every label through
+        `insertion_label`, so the first bad label raises its own error."""
         table = self.label_table
         try:
-            idx = tuple([table[label] for label in labels])
+            return tuple([table[label] for label in labels])
         except (KeyError, TypeError):  # another spelling, or an unhashable label
             return tuple(map(self.insertion_label, labels))
-        zero = self.zero_weight
-        if any([zero[i] for i in idx]):
-            return tuple(map(self.insertion_label, labels))
-        return idx
-
-    def label_name(self, idx: int) -> str:
-        return self.labels[idx]
 
     # -- derived artifacts ---------------------------------------------------
 

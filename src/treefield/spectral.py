@@ -126,26 +126,17 @@ def _group_eigenvalues(w: np.ndarray) -> List[List[int]]:
 
 
 def _orthonormalize_pivoted(basis: np.ndarray, d: int,
-                            seed_vecs: Optional[np.ndarray] = None) -> np.ndarray:
+                            first: Optional[np.ndarray] = None) -> np.ndarray:
     """Deterministic HS-orthonormal basis of span(columns of basis).
 
-    Pivots over matrix-unit directions in row-major order; optional seed
-    vectors are taken verbatim first.  Output columns have 2-norm sqrt(d)
-    (HS norm one) and the largest-modulus entry real positive.
+    Pivots over matrix-unit directions in row-major order; an optional
+    `first` vector of the span is taken before them.  Output columns have
+    2-norm sqrt(d) (HS norm one) and the largest-modulus entry real positive.
     """
     n = basis.shape[0]
     k = basis.shape[1]
     q, _ = np.linalg.qr(basis)
-    chosen: List[np.ndarray] = []
-    if seed_vecs is not None:
-        for s in seed_vecs.T:
-            v = s.astype(complex)
-            for c in chosen:
-                v = v - c * (c.conj() @ v)
-            nrm = np.linalg.norm(v)
-            if nrm < 1e-9:
-                raise ValueError("seed vector not independent inside eigenspace")
-            chosen.append(v / nrm)
+    chosen: List[np.ndarray] = [] if first is None else [first / np.linalg.norm(first)]
     for pivot in range(n):
         if len(chosen) == k:
             break
@@ -169,12 +160,19 @@ def _orthonormalize_pivoted(basis: np.ndarray, d: int,
     return np.column_stack(out)
 
 
+def _spectral_order(lam: complex) -> Tuple[float, float]:
+    """Sort key of an eigenvalue: descending modulus, ties by ascending
+    phase in [0, 2 pi)."""
+    return -abs(lam), cmath.phase(lam) % (2 * math.pi)
+
+
 def eigendecompose(E: AscendingChannel) -> SpectralData:
     """Full biorthonormal eigensystem with a deterministic ordering.
 
-    alpha = 0 is (1, identity); the rest are sorted by descending |lambda|,
-    ties by ascending phase.  Degenerate eigenspaces get a pivoted
-    HS-orthonormal basis, so repeated runs are bit-identical.
+    The identity's eigenspace comes first, alpha = 0 being (1, identity);
+    the others follow by their mean eigenvalue in `_spectral_order` (a
+    stable sort).  Degenerate eigenspaces get a pivoted HS-orthonormal
+    basis, so repeated runs are bit-identical.
     """
     d = E.dimension
     n = d * d
@@ -194,37 +192,17 @@ def eigendecompose(E: AscendingChannel) -> SpectralData:
             B = R[:, g]
             proj = B @ np.linalg.lstsq(B, ident, rcond=None)[0]
             if np.linalg.norm(proj - ident) <= 1e-8 * math.sqrt(d):
-                id_group = tuple(g)
+                id_group = g
                 break
     if id_group is None:
         raise ValueError("channel has no unit eigenvalue with identity eigenvector")
 
-    blocks: List[Tuple[complex, np.ndarray]] = []
-    for g in groups:
-        lam = complex(w[g].mean())
-        if tuple(g) == id_group:
-            lam = 1.0 + 0.0j
-            vecs = _orthonormalize_pivoted(R[:, g], d, seed_vecs=ident[:, None])
-        else:
-            vecs = _orthonormalize_pivoted(R[:, g], d)
-        blocks.append((lam, vecs))
-
-    def sort_key(block):
-        lam, vecs = block
-        if abs(lam - 1.0) < 1e-12 and np.allclose(vecs[:, 0], ident):
-            return (0, 0.0, 0.0)
-        ph = cmath.phase(lam) % (2 * math.pi)
-        return (1, -abs(lam), ph)
-
-    blocks.sort(key=sort_key)
-
-    lams: List[complex] = []
-    cols: List[np.ndarray] = []
-    for lam, vecs in blocks:
-        for j in range(vecs.shape[1]):
-            lams.append(lam)
-            cols.append(vecs[:, j])
-    Rmat = np.column_stack(cols)
+    rest = sorted([(complex(w[g].mean()), _orthonormalize_pivoted(R[:, g], d))
+                   for g in groups if g is not id_group],
+                  key=lambda block: _spectral_order(block[0]))
+    blocks = [(1.0 + 0.0j, _orthonormalize_pivoted(R[:, id_group], d, first=ident)), *rest]
+    lams = [lam for lam, vecs in blocks for _ in range(vecs.shape[1])]
+    Rmat = np.column_stack([vecs for _, vecs in blocks])
     Linv = np.linalg.inv(Rmat)
 
     mus = Rmat.T.reshape(n, d, d)
@@ -254,14 +232,13 @@ def pinned_spectral_data(E: AscendingChannel, eigenvalues: Sequence[complex],
 
 def abstract_eigenvalues(channel_matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of an abstract label-space channel, unit eigenvalue first,
-    the rest by descending modulus then ascending phase."""
+    the rest in `_spectral_order`."""
     m = np.asarray(channel_matrix, dtype=complex)
     w = np.linalg.eigvals(m)
     i1 = int(np.argmin(np.abs(w - 1.0)))
     if abs(w[i1] - 1.0) > 1e-10:
         raise ValueError("channel has no unit eigenvalue")
-    rest = [w[i] for i in range(len(w)) if i != i1]
-    rest.sort(key=lambda z: (-abs(z), cmath.phase(z) % (2 * math.pi)))
+    rest = sorted([w[i] for i in range(len(w)) if i != i1], key=_spectral_order)
     return np.array([1.0 + 0.0j] + rest, dtype=complex)
 
 

@@ -562,7 +562,7 @@ def test_zero_weight_label_rejected():
 
 def test_ope_terms_qutrit_examples(qutrit):
     terms = ope_terms("δ¹", "δ²", qutrit)
-    names = [(qutrit.label_name(g), complex(c), e) for g, c, e in terms]
+    names = [(qutrit.labels[g], complex(c), e) for g, c, e in terms]
     assert len(names) == 3
     assert names[0][0] == "1" and abs(names[0][1] - (-1 / 6)) < 1e-10
     assert names[0][2] == -2.0
@@ -576,7 +576,7 @@ def test_ope_terms_qutrit_examples(qutrit):
     terms = ope_terms("β²", "α³", qutrit)
     assert len(terms) == 1
     g, c, e = terms[0]
-    assert qutrit.label_name(g) == "α¹" and e == -1.0
+    assert qutrit.labels[g] == "α¹" and e == -1.0
     assert abs(c - 0.5) < 1e-10
 
 
@@ -586,16 +586,16 @@ def test_ope_terms_fibonacci():
     terms = ope_terms("τ", "τ", fib)
     assert len(terms) == 2
     g0, c0, e0 = terms[0]
-    assert fib.label_name(g0) == "1"
+    assert fib.labels[g0] == "1"
     assert abs(c0 - (math.sqrt(5) - 2)) < 1e-10
     assert abs(e0 - (-2 * h_tau)) < 1e-12
     g1, c1, e1 = terms[1]
-    assert fib.label_name(g1) == "τ"
+    assert fib.labels[g1] == "τ"
     assert abs(c1 - (5 - 2 * math.sqrt(5))) < 1e-10
     assert abs(e1 - (-h_tau)) < 1e-12
     # 1 x tau keeps only the tau channel at exponent 0
     terms = ope_terms("1", "τ", fib)
-    assert len(terms) == 1 and fib.label_name(terms[0][0]) == "τ" and terms[0][2] == 0.0
+    assert len(terms) == 1 and fib.labels[terms[0][0]] == "τ" and terms[0][2] == 0.0
 
 
 def test_ope_identity_exponent_invariant(qutrit):

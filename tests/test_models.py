@@ -252,6 +252,7 @@ def test_spelled_model_meets_every_label_case():
     assert reference_outcome(m, [" u"]) == "unknown field label ' u'"
     assert reference_outcome(m, ["z"]) == "zero ascending weight excluded"
     assert " z" not in m.label_table and " u" not in m.label_table
+    assert "z" not in m.label_table  # a label of zero weight is not insertable
 
 
 @pytest.mark.parametrize("name", sorted(LABEL_MODELS))
