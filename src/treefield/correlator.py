@@ -21,7 +21,8 @@ of a leaf of level l is taken once per model, label and level
 (p, q) and its labels as indices, read through the model's table of names
 and aliases (`ModelSpec.insertion_labels`); no evaluator or command reads
 its `insertions` view of `FieldInsertion`s.  A document's points are read
-by the one point reader, `dyadic.read_point`.  `dyadic` owns the leaf
+by the one point reader, `dyadic.read_point`, and its JSON numbers as the
+decimals they spell (`dyadic.read_json_point`).  `dyadic` owns the leaf
 geometry: the vacuum n-point evaluates on the points' leaves
 (`dyadic.vacuum_leaves`), and a Thompson-transformed correlator pulls each
 of those leaves, or the deeper image leaf of the state holding it, back
@@ -48,8 +49,8 @@ from .dyadic import (CirclePoint, DyadicPartition, PointLike, StdInterval,
                      as_point, check_leaf, check_point_order,
                      check_regular_level, common_prefix_length,
                      common_refinement, fold_tree, is_refinement,
-                     minimal_supporting_partition, read_point,
-                     regular_partition, vacuum_leaves)
+                     minimal_supporting_partition, read_json_point,
+                     read_point, regular_partition, vacuum_leaves)
 from .models import ModelSpec, ipow
 from .spectral import scaling_dimension
 
@@ -108,15 +109,17 @@ class CorrelatorRequest:
 def request_from_document(doc: dict, model: ModelSpec) -> CorrelatorRequest:
     """{'positions': ['p/q', ...], 'labels': [...], 'state': 'vacuum' | word}
 
-    Checked in this order: every point, the state, each label up to the
-    number of points (`ModelSpec.insertion_labels`), the counts, the point
-    order."""
+    A position that is a JSON number is the decimal it spells
+    (`dyadic.read_json_point`).  Checked in this order: every point, the
+    state, each label up to the number of points
+    (`ModelSpec.insertion_labels`), the counts, the point order."""
     if not isinstance(doc, dict):
         raise ValueError("request document must be a JSON object")
     for key in ("positions", "labels"):
         if not isinstance(doc.get(key), list):
             raise ValueError(f"request document needs a list {key!r}")
-    points = tuple([read_point(str(x)) for x in doc["positions"]])
+    points = tuple([read_point(x) if isinstance(x, str) else read_json_point(x)
+                    for x in doc["positions"]])
     state = None
     st = doc.get("state", "vacuum")
     if st not in (None, "vacuum"):

@@ -7,12 +7,16 @@ the coarse-graining distance read its level from q.  Text becomes a point
 through one reader, `read_point`, which reads an ASCII 'p/q' or a binary
 expansion with `int` calls and leaves every other spelling to
 `Fraction(str)` once a decimal exponent is sized; `CirclePoint(text)` and
-`as_point` read through it.  A standard interval is its integer pair
-(left numerator, level), the named tuple `StdInterval`, and a partition is
-the tuple of its leaves.  A finite binary tree is its dyadic partition: the
+`as_point` read through it, and a JSON value that is not a string through
+`read_json_point`, which reads a float as the decimal it spells.  Two
+points' common binary prefix is one long division of each to a common
+number of digits (`common_prefix_length`).  A standard interval is its
+integer pair (left numerator, level), the named tuple `StdInterval`, and a
+partition is the tuple of its leaves.  A finite binary tree is its dyadic partition: the
 leaves are the standard intervals, a left child the left half of its
 parent, so no tree object is built.  Partition checks and `fold_tree`,
-one stack pass folding a partition's tree, run on those integers.  Nested
+one stack pass folding a partition's tree, run on those integers; the fold
+trusts the cover a `DyadicPartition` checked when it was built.  Nested
 documents (0 a leaf, [left, right] a caret) are written by that fold and
 read by one explicit-stack pass straight to (a, l) leaves, so no function
 here recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
@@ -30,7 +34,7 @@ gap between them with the maximal standard intervals of `dyadic_blocks`,
 which also splits `{"pieces"}` tables into leaves.  Points compare by
 cross-multiplication.  `Fraction` remains only in `is_refinement`, in
 `StdInterval.left` and `.right`, and at the API edges: reading a
-`Fraction`, an int or a decimal into a `CirclePoint`, and
+`Fraction`, an int, a decimal or a JSON float into a point, and
 `CirclePoint.value`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.
@@ -42,7 +46,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import (Callable, Iterator, List, NamedTuple, Optional, Sequence,
                     Tuple, TypeVar, Union)
 
@@ -166,6 +170,17 @@ def read_point(text: str) -> Tuple[int, int]:
         return _circle_pair(v.numerator, v.denominator)
     except ZeroDivisionError:
         raise ValueError(f"point {text!r} has a zero denominator") from None
+
+
+def read_json_point(x) -> Tuple[int, int]:
+    """The reduced pair of the point a JSON value other than a string gives:
+    a finite float is the decimal it spells, read from its shortest `repr`
+    (0.1 is 1/10, not the binary expansion 1/2); an int, a bool, None or a
+    non-finite float is read as its `str` by `read_point`."""
+    if isinstance(x, float) and isfinite(x):
+        v = Fraction(repr(x))
+        return _circle_pair(v.numerator, v.denominator)
+    return read_point(str(x))
 
 
 def as_point(x: PointLike) -> CirclePoint:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from operator import itemgetter
 from typing import Dict, List, Sequence, Tuple
 
@@ -281,6 +282,8 @@ def _coordinate(v) -> Fraction:
     try:
         if isinstance(v, str):
             return decimal_fraction(v, f"piece coordinate {v!r}")
+        if isinstance(v, float) and isfinite(v):  # the decimal a JSON number spells
+            return Fraction(repr(v))
         return Fraction(v)
     except (TypeError, ZeroDivisionError, OverflowError):
         raise ValueError(f"piece coordinate {v!r} is not a number") from None

@@ -321,8 +321,8 @@ GOOD_LABELS = ("δ¹", "β²", "α³", "1", "d1", "b2", "a3", "id", " d2", "β¹
 BAD_LABELS = ("9", "10", 9, -1, True, False, "nope", "δ³", "", "D1", None, 1.5, "²",
               [1], {"d1": 1})
 # point spellings a request may use, one or more per branch of the point
-# reader, and spellings it refuses; a JSON number or boolean is read as its
-# `str`, so 0.1 is the binary expansion 1/2
+# reader, and spellings it refuses; a JSON float is the decimal it spells, so
+# 0.1 is 1/10, and a JSON int or boolean is read as its `str`
 GOOD_POINTS = ("0.011", " 0.011\t", "0.25", "3e-2", " 1/2 ", "2/4", "١/٢", 0.5, 0.1)
 BAD_POINTS = ("1/0", "3/2", "1e-1000000", 1, True)
 

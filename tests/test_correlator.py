@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -286,6 +287,28 @@ def test_request_validation(qutrit):
         with pytest.raises(ValueError, match="^unordered tuple$"):
             CorrelatorRequest.make([x, "0.01"], ["δ¹", "δ¹"], qutrit)
         CorrelatorRequest.make(["0.01", x], ["δ¹", "δ¹"], qutrit)
+
+
+def test_json_float_positions_are_the_decimals_they_spell(qutrit):
+    def points(text):
+        return request_from_document(json.loads(text), qutrit).points
+
+    # 0.1 is 1/10 and 0.11 is 11/100, not the binary expansions 1/2 and 3/4
+    assert points('{"positions": [0.1, 0.75], "labels": ["d1", "d2"]}') == ((1, 10), (3, 4))
+    assert points('{"positions": [0.11, 0.75], "labels": ["d1", "d2"]}') == ((11, 100), (3, 4))
+    assert points('{"positions": [1e-05, 0.5], "labels": ["d1", "d2"]}') == ((1, 100000), (1, 2))
+    # a string keeps the point reader: "0.1" is the binary expansion 1/2
+    assert points('{"positions": ["0.1", 0.75], "labels": ["d1", "d2"]}') == ((1, 2), (3, 4))
+    # ints, booleans, null and non-finite floats keep their readings as text
+    assert points('{"positions": [0, 0.5], "labels": ["d1", "d2"]}') == ((0, 1), (1, 2))
+    for x, error in (("1", "1 is not in [0,1)"), ("1.5", "3/2 is not in [0,1)"),
+                     ("true", "Invalid literal for Fraction: 'True'"),
+                     ("null", "Invalid literal for Fraction: 'None'"),
+                     ("Infinity", "Invalid literal for Fraction: 'inf'"),
+                     ("NaN", "Invalid literal for Fraction: 'nan'")):
+        with pytest.raises(ValueError) as exc:
+            points(f'{{"positions": [{x}, 0.75], "labels": ["d1", "d2"]}}')
+        assert str(exc.value) == error
 
 
 RATIONALS = st.builds(

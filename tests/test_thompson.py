@@ -294,6 +294,22 @@ def test_parse_word_and_documents():
     assert reduce(element_from_document({"word": "A C"})) == reduce(S)
 
 
+def test_json_float_piece_coordinates_are_the_decimals_they_spell():
+    # 0.1 is 1/10, not the double nearest it, in a number as in a string
+    for rows in ('[[0, 0, 0], [0.1, 0.1, 0]]', '[["0", "0", 0], ["0.1", "0.1", 0]]'):
+        with pytest.raises(ValueError, match="^not a Thompson map: non-dyadic breakpoint$"):
+            element_from_document(json.loads(f'{{"pieces": {rows}}}'))
+    # a dyadic float is its value; infinities, NaN and booleans keep theirs
+    assert element_from_document(json.loads('{"pieces": [[0, 0, 0], [0.5, 0.5, 0]]}')
+                                 ).is_identity()
+    for rows, error in (('[[Infinity, 0, 0]]', "piece coordinate inf is not a number"),
+                        ('[[NaN, 0, 0]]', "cannot convert NaN to integer ratio"),
+                        ('[[true, 0, 0]]', "not a Thompson map: pieces must start at 0")):
+        with pytest.raises(ValueError) as exc:
+            element_from_document(json.loads(f'{{"pieces": {rows}}}'))
+        assert str(exc.value) == error
+
+
 def depth(e):
     """The deepest domain level of an element's pairs."""
     return max(l for _, l, _, _ in e.pairs)
