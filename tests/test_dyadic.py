@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import halves, refine_at, supports
@@ -124,6 +124,55 @@ def test_coarse_grain_distance_digit_stream():
     assert d.value == Fraction(1, 16)
     # non-dyadic points work exactly: 1/3 = 0.0101..., 1/4 = 0.0100...
     assert common_prefix_length(Fraction(1, 3), Fraction(1, 4)) == 3
+
+
+def digit_loop_prefix(x, y) -> int:
+    """Common binary prefix of two distinct points, one digit at a time:
+    with remainders a/q and b/s, the next digit is 1 iff twice the
+    remainder is at least 1 (the reference for `common_prefix_length`)."""
+    px, py = as_point(x), as_point(y)
+    a, q, b, s = px.p, px.q, py.p, py.q
+    l = 0
+    while True:
+        a, b = 2 * a, 2 * b
+        bit = a >= q
+        if bit != (b >= s):
+            return l
+        if bit:
+            a, b = a - q, b - s
+        l += 1
+
+
+DYADICS = st.integers(0, 200).flatmap(
+    lambda l: st.integers(0, (1 << l) - 1).map(lambda a: Fraction(a, 1 << l)))
+NON_DYADICS = st.one_of(st.integers(3, 64), st.integers(3, 1 << 80)).filter(
+    lambda q: q & (q - 1)).flatmap(lambda q: st.integers(0, q - 1).map(lambda p: Fraction(p, q)))
+
+
+@st.composite
+def prefix_pairs(draw):
+    """Two distinct points: drawn apart; the second 1/(k q) from the first,
+    p/q, for a small k; or the second within 2^-100 to 2^-150 of the first
+    (a dyadic or a non-dyadic offset)."""
+    x = draw(st.one_of(DYADICS, NON_DYADICS))
+    kind = draw(st.sampled_from(["apart", "neighbour", "near"]))
+    if kind == "apart":
+        y = draw(st.one_of(DYADICS, NON_DYADICS))
+    else:
+        offset = Fraction(1, draw(
+            st.integers(2, 9).map(lambda k: k * x.denominator) if kind == "neighbour"
+            else st.one_of(st.integers(100, 150).map(lambda k: 1 << k),
+                           st.integers(1 << 100, 1 << 150))))
+        y = x + offset if x + offset < 1 else x - offset
+    assume(x != y)
+    return x, y
+
+
+@settings(max_examples=500)
+@given(prefix_pairs())
+def test_property_common_prefix_length_matches_the_digit_loop(pair):
+    x, y = pair
+    assert common_prefix_length(x, y) == common_prefix_length(y, x) == digit_loop_prefix(x, y)
 
 
 def test_coarse_grain_distance_coincident():
