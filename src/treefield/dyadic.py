@@ -12,29 +12,29 @@ expansion with `int` calls and leaves every other spelling to
 points' common binary prefix is one long division of each to a common
 number of digits (`common_prefix_length`).  A standard interval is its
 integer pair (left numerator, level), the named tuple `StdInterval`, and a
-partition is the tuple of its leaves.  A finite binary tree is its dyadic partition: the
-leaves are the standard intervals, a left child the left half of its
-parent, so no tree object is built.  Partition checks and `fold_tree`,
-one stack pass folding a partition's tree, run on those integers; the fold
-trusts the cover a `DyadicPartition` checked when it was built.  Nested
-documents (0 a leaf, [left, right] a caret) are written by that fold and
-read by one explicit-stack pass straight to (a, l) leaves, so no function
-here recurses.  A leaf pair (a, l, b, m) maps the interval [a/2^l, (a+1)/2^l)
-affinely onto [b/2^m, (b+1)/2^m); one merge walk over two pair lists,
-`_compose_pairs`, composes Thompson elements, pulls a partition back
-through one, and gives the common refinement of two partitions as the
-domain of id_P o id_Q, all on integers.  The leaf that holds a point is
-found by one lookup, the bisection `leaf_index`, over intervals and leaf
-pairs alike: `DyadicPartition.index_of`, a Thompson element's domain
-pairs and the start of the merge walk.  This module owns the leaf
-geometry of points: `vacuum_leaves` reads each point's leaf of the minimal
-supporting partition from its first 64 binary digits (the correlators
-evaluate on those leaves), and `minimal_supporting_partition` fills each
-gap between them with the maximal standard intervals of `dyadic_blocks`,
-which also splits `{"pieces"}` tables into leaves.  Points compare by
-cross-multiplication.  `Fraction` remains only in `is_refinement`, in
-`StdInterval.left` and `.right`, and at the API edges: reading a
-`Fraction`, an int, a decimal or a JSON float into a point, and
+partition is the tuple of its leaves.  A finite binary tree is its dyadic
+partition: the leaves are the standard intervals, a left child the left
+half of its parent, so no tree object is built.  Partition checks and
+`fold_tree`, one stack pass folding a partition's tree, run on those
+integers; the fold trusts the cover a `DyadicPartition` checked when it was
+built.  Nested documents (0 a leaf, [left, right] a caret) are written by
+that fold and read by one explicit-stack pass straight to (a, l) leaves, so
+no function here recurses.  A leaf pair (a, l, b, m) maps the interval
+[a/2^l, (a+1)/2^l) affinely onto [b/2^m, (b+1)/2^m); one merge walk over
+two pair lists, `_compose_pairs`, composes Thompson elements, pulls a
+partition back through one, and gives the common refinement of two
+partitions as the domain of id_P o id_Q, all on integers.  The leaf that
+holds a point is found by one lookup, the bisection `leaf_index`, over
+intervals and leaf pairs alike: `DyadicPartition.index_of`, a Thompson
+element's domain pairs and the start of the merge walk.  This module owns
+the leaf geometry of points: `vacuum_leaves` reads each point's leaf of the
+minimal supporting partition from its first 64 binary digits (the
+correlators evaluate on those leaves), and `minimal_supporting_partition`
+fills each gap between them with the maximal standard intervals of
+`dyadic_blocks`, which also splits `{"pieces"}` tables into leaves.  Points
+compare by cross-multiplication.  `Fraction` remains only in
+`is_refinement`, in `StdInterval.left` and `.right`, and at the API edges:
+reading a `Fraction`, an int, a decimal or a JSON float into a point, and
 `CirclePoint.value`.
 No floats enter any decision.  Intervals are half-open [a, b) throughout,
 including the last one.

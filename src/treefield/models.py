@@ -200,7 +200,7 @@ class ModelSpec:
         table = self.label_table
         try:
             return tuple([table[label] for label in labels])
-        except (KeyError, TypeError):  # another spelling, or an unhashable label
+        except (KeyError, TypeError):  # another spelling, zero weight, or unhashable
             return tuple(map(self.insertion_label, labels))
 
     # -- derived artifacts ---------------------------------------------------
